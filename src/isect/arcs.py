@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     BadParams,
@@ -316,28 +316,22 @@ def mwis_circular_arc(m: ArcModel, weights: Weights = None) -> tuple[int, ...]:
     if not m.covers_circle:
         return mwis_interval(straighten_at_gap(m), w)
     split = split_at_cut(m)
-    best: Optional[tuple[Fraction, tuple[int, ...]]] = None
-
-    def offer(total: Fraction, chosen: tuple[int, ...]) -> None:
-        nonlocal best
-        if best is None or total > best[0] or (total == best[0] and chosen < best[1]):
-            best = (total, chosen)
-
+    # the forward arcs alone, with no backward arc, are the first candidate
+    best: tuple[Fraction, tuple[int, ...]] = (Fraction(0), ())
     fwd = sorted(split.forward)
     if fwd:
         pairs = _straighten(m, split.cut_point)
         sub = IntervalModel.build([pairs[r - 1] for r in fwd])
         pick = mwis_interval(sub, [w[r - 1] for r in fwd])
         chosen = tuple(fwd[k - 1] for k in pick)
-        offer(sum((w[v - 1] for v in chosen), Fraction(0)), chosen)
-    else:
-        offer(Fraction(0), ())
+        best = (sum((w[v - 1] for v in chosen), Fraction(0)), chosen)
     for i in sorted(split.backward):
         sub, ids = delete_closed_neighborhood(m, i)
         pick = mwis_interval(sub, [w[r - 1] for r in ids])
         chosen = tuple(sorted((i,) + tuple(ids[k - 1] for k in pick)))
-        offer(sum((w[v - 1] for v in chosen), Fraction(0)), chosen)
-    assert best is not None
+        total = sum((w[v - 1] for v in chosen), Fraction(0))
+        if total > best[0] or (total == best[0] and chosen < best[1]):
+            best = (total, chosen)
     return best[1]
 
 

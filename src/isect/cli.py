@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -99,48 +98,44 @@ def _cmd_build(args) -> int:
 
 # -- solve / oracle ----------------------------------------------------------
 
-def _structured_is(mf: ModelFile, weights) -> tuple[int, ...]:
-    kind, m = mf.kind, mf.model
-    if kind == "interval":
-        return mwis_interval(m, weights)
-    if kind == "arcs":
-        return mwis_circular_arc(m, weights)
-    if kind == "permutation":
-        return mwis_permutation(m, weights)
-    raise BadParams(f"no structured independent-set solver for kind {kind!r}")
+def _interval_clique(m) -> list[int]:
+    strict, order = normalize(m)
+    picked = max(maximal_cliques_interval(strict), key=len)
+    return [order[v - 1] for v in picked]
+
+
+# structured solvers by (kind, problem), each called as solver(model file,
+# weights); ``mis`` runs the ``mwis`` solver with unit weights
+_SOLVERS = {
+    ("interval", "mwis"): lambda mf, w: mwis_interval(mf.model, w),
+    ("interval", "max_clique"): lambda mf, w: _interval_clique(mf.model),
+    ("interval", "coloring"): lambda mf, w: greedy_color(mf.model),
+    ("arcs", "mwis"): lambda mf, w: mwis_circular_arc(mf.model, w),
+    ("permutation", "mwis"): lambda mf, w: mwis_permutation(mf.model, w),
+    ("permutation", "max_clique"): lambda mf, w: max_clique_permutation(mf.model),
+}
+
+
+def _structured(mf: ModelFile, problem: str) -> tuple[object, list]:
+    """The structured answer: its value, and its witness or colors line."""
+    weights = None if problem == "mis" else mf.weights
+    solver = _SOLVERS.get((mf.kind, "mwis" if problem == "mis" else problem))
+    if solver is None:
+        raise BadParams(f"no structured {problem} solver for kind {mf.kind!r}")
+    answer = solver(mf, weights)
+    if problem == "coloring":
+        return (len(set(answer.values())) if answer else 0,
+                ["colors", *(answer[v] for v in sorted(answer))])
+    if problem == "max_clique":
+        return len(answer), ["witness", *sorted(answer)]
+    wl = coerce_weights(mf.model.n, weights)
+    return sum((wl[v - 1] for v in answer), Fraction(0)), ["witness", *answer]
 
 
 def _cmd_solve(args) -> int:
-    mf = _read_model(args.model)
-    problem = args.problem
-    if problem == "mis":
-        picked = _structured_is(mf, None)
-        print("value", len(picked))
-        print("witness", *picked)
-    elif problem == "mwis":
-        picked = _structured_is(mf, mf.weights)
-        wl = coerce_weights(getattr(mf.model, "n", 0), mf.weights)
-        print("value", _fmt(sum((wl[v - 1] for v in picked), Fraction(0))))
-        print("witness", *picked)
-    elif problem == "max_clique":
-        if mf.kind == "interval":
-            strict, order = normalize(mf.model)
-            picked = max(maximal_cliques_interval(strict), key=len)
-            best = [order[v - 1] for v in picked]
-        elif mf.kind == "permutation":
-            best = max_clique_permutation(mf.model)
-        else:
-            raise BadParams(f"no structured clique solver for kind {mf.kind!r}")
-        print("value", len(best))
-        print("witness", *sorted(best))
-    elif problem == "coloring":
-        if mf.kind != "interval":
-            raise BadParams(f"no structured coloring for kind {mf.kind!r}")
-        colors = greedy_color(mf.model)
-        print("value", len(set(colors.values())) if colors else 0)
-        print("colors", *(colors[v] for v in sorted(colors)))
-    else:
-        raise BadParams(f"unknown problem {problem!r}")
+    value, line = _structured(_read_model(args.model), args.problem)
+    print("value", _fmt(value))
+    print(*line)
     return 0
 
 
@@ -227,13 +222,12 @@ def _check_coloring(kind, count, seed) -> int:
 
 
 def _check_mwis(kind, count, seed) -> int:
-    got = _require_kind(kind, ("arcs", "interval", "permutation"), "mwis")
+    kinds = tuple(sorted(k for k, problem in _SOLVERS if problem == "mwis"))
+    got = _require_kind(kind, kinds, "mwis")
     for i, (s, rng) in enumerate(_seeds(seed, count)):
         n = 2 + rng.below(10)
         mf = generate_model(GeneratorSpec(got, n, s, {"weights": True}))
-        picked = _structured_is(mf, mf.weights)
-        wl = coerce_weights(getattr(mf.model, "n", n), mf.weights)
-        value = sum((wl[v - 1] for v in picked), Fraction(0))
+        value = _structured(mf, "mwis")[0]
         best = brute_solve(_graph_of(mf), "mwis").value
         if value != best:
             raise _SuiteFailure(f"instance {i}: structured {value}, brute {best}")
@@ -350,60 +344,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-# -- bench -------------------------------------------------------------------
-
-def _timed(fn) -> tuple[float, object]:
-    t0 = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - t0, out
-
-
-def _cmd_bench(args) -> int:
-    kind = args.kind or "interval"
-    rows = []
-    for rep in range(max(1, args.count)):
-        seed = args.seed + rep
-        if kind == "interval":
-            m = generate_model(GeneratorSpec(
-                "interval", 14, seed, {"strict": True, "connected": True})).model
-            g = build_interval_graph(m)
-            fast, picked = _timed(lambda: mwis_interval(m))
-            slow, sol = _timed(lambda: brute_solve(g, "mis"))
-            assert len(picked) == sol.value
-            rows.append(("mwis", m.n, fast, slow))
-            big = generate_model(GeneratorSpec(
-                "interval", 60, seed, {"strict": True, "connected": True})).model
-            fast, dist = _timed(lambda: apsp_interval(big))
-            slow, oracle = _timed(lambda: bfs_apsp(build_interval_graph(big)))
-            assert dist == oracle
-            rows.append(("apsp", big.n, fast, slow))
-        elif kind == "arcs":
-            rng = SplitMix64(seed)
-            mf = _connected_model("arcs", 12, rng)
-            g = build_circular_arc_graph(mf.model)
-            fast, picked = _timed(lambda: mwis_circular_arc(mf.model))
-            slow, sol = _timed(lambda: brute_solve(g, "mis"))
-            assert len(picked) == sol.value
-            rows.append(("mwis", 12, fast, slow))
-        elif kind == "permutation":
-            p = generate_model(GeneratorSpec("permutation", 14, seed)).model
-            g = build_permutation_graph(p)
-            fast, picked = _timed(lambda: mwis_permutation(p))
-            slow, sol = _timed(lambda: brute_solve(g, "mis"))
-            assert len(picked) == sol.value
-            rows.append(("mwis", 14, fast, slow))
-            fast, clique = _timed(lambda: max_clique_permutation(p))
-            slow, sol = _timed(lambda: brute_solve(g, "max_clique"))
-            assert len(clique) == sol.value
-            rows.append(("max_clique", 14, fast, slow))
-        else:
-            raise BadParams(f"no bench lane for kind {kind!r}")
-    print(f"{'problem':<12}{'n':>5}  {'structured':>12}  {'oracle':>12}")
-    for name, n, fast, slow in rows:
-        print(f"{name:<12}{n:>5}  {fast:>11.6f}s  {slow:>11.6f}s")
-    return 0
-
-
 # -- entry point -------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -438,11 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--k", type=int, default=None, help="box dimension")
     p.add_argument("--out", default=None, help="write here instead of stdout")
-
-    p = sub.add_parser("bench", help="time structured solvers against oracles")
-    p.add_argument("--kind", default=None)
-    p.add_argument("--count", type=int, default=1, help="repetitions per row")
-    p.add_argument("--seed", type=int, default=1)
     return parser
 
 
@@ -452,7 +387,6 @@ _COMMANDS = {
     "oracle": _cmd_oracle,
     "check": _cmd_check,
     "gen": _cmd_gen,
-    "bench": _cmd_bench,
 }
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BadParams,
@@ -277,18 +277,6 @@ class KBoxModel:
         return len(self.boxes)
 
 
-def _coordinate_graph(m: KBoxModel, c: int) -> Graph:
-    n = m.n
-    edges = []
-    for i in range(1, n + 1):
-        lo_i, hi_i = m.boxes[i - 1][c]
-        for j in range(i + 1, n + 1):
-            lo_j, hi_j = m.boxes[j - 1][c]
-            if max(lo_i, lo_j) <= min(hi_i, hi_j):
-                edges.append((i, j))
-    return Graph.build(n, edges)
-
-
 def build_box_graph(m: KBoxModel) -> Graph:
     """Edge iff the boxes meet, i.e. they overlap in every coordinate."""
     n = m.n
@@ -302,16 +290,8 @@ def build_box_graph(m: KBoxModel) -> Graph:
 
 
 def verify_box_representation(g: Graph, m: KBoxModel) -> bool:
-    """Is m a box representation of g?
-
-    Also re-derives the built graph as the edge-intersection of the k
-    per-coordinate interval graphs and insists the two agree.
-    """
+    """Is m a box representation of g?"""
     built = build_box_graph(m)
-    common = set(_coordinate_graph(m, 0).edges)
-    for c in range(1, m.k):
-        common &= _coordinate_graph(m, c).edges
-    assert built.edges == frozenset(common)
     return g.n == built.n and g.edges == built.edges
 
 

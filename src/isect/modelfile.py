@@ -28,10 +28,6 @@ from .intervals import IntervalModel
 from .permutations import Permutation
 from .trapezoids import TrapezoidModel
 
-KINDS = ("interval", "arcs", "permutation", "trapezoid", "dotted",
-         "tolerance", "chords", "disks", "boxes", "graph")
-
-
 @dataclass(frozen=True)
 class ModelFile:
     """A parsed model document: the tag, the typed model, the extras."""
@@ -73,22 +69,26 @@ def _field(rec: Mapping[str, object], name: str, path: str) -> object:
     return rec[name]
 
 
-def _by_id(items: Sequence[object], path: str, fields: tuple[str, ...],
-           parse=_number) -> list[tuple]:
-    """Collect per-item field tuples, ordered by the mandatory id 1..n."""
+def _by_id(items: Sequence[object], row) -> list[tuple]:
+    """One row per item, read by ``row(record, path)``, ordered by id 1..n."""
     rows: dict[int, tuple] = {}
     for k, raw in enumerate(items):
-        here = f"{path}[{k}]"
+        here = f"$.items[{k}]"
         rec = _record(raw, here)
         ident = _integer(_field(rec, "id", here), f"{here}.id")
         if ident in rows:
             raise SchemaError(f"duplicate id {ident}", here)
-        rows[ident] = tuple(parse(_field(rec, f, here), f"{here}.{f}")
-                            for f in fields)
+        rows[ident] = row(rec, here)
     n = len(items)
     if sorted(rows) != list(range(1, n + 1)):
-        raise SchemaError(f"ids must cover 1..{n} exactly", path)
+        raise SchemaError(f"ids must cover 1..{n} exactly", "$.items")
     return [rows[i] for i in range(1, n + 1)]
+
+
+def _numbers(*names: str):
+    """A row reader taking the named rational fields of a record."""
+    return lambda rec, here: tuple(_number(_field(rec, f, here), f"{here}.{f}")
+                                   for f in names)
 
 
 def _single_record(items: Sequence[object], path: str) -> Mapping[str, object]:
@@ -121,10 +121,11 @@ def _weights(doc: Mapping[str, object], n: int) -> Optional[tuple[Fraction, ...]
     raise SchemaError("weights must be a list or an id-keyed object", path)
 
 
-def _intp(x: Fraction, path: str) -> int:
-    if x.denominator != 1:
-        raise SchemaError(f"expected an integer, got {x}", path)
-    return int(x)
+def _integers(row: tuple[Fraction, ...]) -> tuple[int, ...]:
+    for x in row:
+        if x.denominator != 1:
+            raise SchemaError(f"expected an integer, got {x}", "$.items")
+    return tuple(int(x) for x in row)
 
 
 def parse_model_file(text: str) -> ModelFile:
@@ -135,12 +136,13 @@ def parse_model_file(text: str) -> ModelFile:
         raise SchemaError(f"not valid JSON: {exc}", "$") from exc
     doc = _record(doc, "$")
     kind = _field(doc, "kind", "$")
+    # a tuple lookup, so an unhashable kind such as a list is a schema error
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}", "$.kind")
     items = _field(doc, "items", "$")
     if not isinstance(items, list):
         raise SchemaError("items must be a list", "$.items")
-    model = _PARSERS[kind](doc, items)
+    model = _FORMATS[kind][0](doc, items)
     n = getattr(model, "n", len(items))
     return ModelFile(kind, model, _weights(doc, n))
 
@@ -154,14 +156,9 @@ def _wrap(build, *args):
         raise ValidationError(str(exc)) from exc
 
 
-def _parse_interval(doc, items):
-    rows = _by_id(items, "$.items", ("a", "b"))
-    return _wrap(IntervalModel.build, rows)
-
-
-def _parse_arcs(doc, items):
-    rows = _by_id(items, "$.items", ("h", "t"))
-    return _wrap(ArcModel.build, rows)
+def _num_out(x) -> object:
+    f = Fraction(x)
+    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _parse_permutation(doc, items):
@@ -173,78 +170,35 @@ def _parse_permutation(doc, items):
     return _wrap(Permutation.build, vals)
 
 
-def _parse_trapezoid(doc, items):
-    rows = _by_id(items, "$.items", ("a", "b", "c", "d"))
-    cells = [tuple(_intp(x, "$.items") for x in row) for row in rows]
-    return _wrap(TrapezoidModel.build, cells)
-
-
-def _parse_dotted(doc, items):
-    rows = _by_id(items, "$.items", ("s", "t", "d"))
-    return tuple(_wrap(DottedInterval.build,
-                       *(_intp(x, "$.items") for x in row))
-                 for row in rows)
+def _tolerance_row(rec, here):
+    a, b = _numbers("a", "b")(rec, here)
+    tol = _field(rec, "tol", here)
+    return a, b, (INFINITE_TOLERANCE if tol == "inf"
+                  else _number(tol, f"{here}.tol"))
 
 
 def _parse_tolerance(doc, items):
-    rows: dict[int, tuple] = {}
-    for k, raw in enumerate(items):
-        here = f"$.items[{k}]"
-        rec = _record(raw, here)
-        ident = _integer(_field(rec, "id", here), f"{here}.id")
-        if ident in rows:
-            raise SchemaError(f"duplicate id {ident}", here)
-        a = _number(_field(rec, "a", here), f"{here}.a")
-        b = _number(_field(rec, "b", here), f"{here}.b")
-        tol_raw = _field(rec, "tol", here)
-        tol = (INFINITE_TOLERANCE if tol_raw == "inf"
-               else _number(tol_raw, f"{here}.tol"))
-        rows[ident] = (a, b, tol)
-    n = len(items)
-    if sorted(rows) != list(range(1, n + 1)):
-        raise SchemaError(f"ids must cover 1..{n} exactly", "$.items")
-    ordered = [rows[i] for i in range(1, n + 1)]
+    rows = _by_id(items, _tolerance_row)
     return _wrap(ToleranceRep.build,
-                 [(a, b) for a, b, _ in ordered], [t for _, _, t in ordered])
+                 [(a, b) for a, b, _ in rows], [t for _, _, t in rows])
 
 
-def _parse_chords(doc, items):
-    rows = _by_id(items, "$.items", ("x", "y"))
-    cells = [tuple(_intp(x, "$.items") for x in row) for row in rows]
-    return _wrap(ChordModel.build, cells)
-
-
-def _parse_disks(doc, items):
-    rows = _by_id(items, "$.items", ("x", "y"))
-    r = _number(_field(doc, "r", "$"), "$.r")
-    return _wrap(DiskPoints.build, rows, r)
+def _box_row(rec, here):
+    sides = _field(rec, "intervals", here)
+    if not isinstance(sides, list) or not sides:
+        raise SchemaError("intervals must be a non-empty list", f"{here}.intervals")
+    box = []
+    for c, side in enumerate(sides):
+        spath = f"{here}.intervals[{c}]"
+        if not isinstance(side, list) or len(side) != 2:
+            raise SchemaError("each side must be a [low, high] pair", spath)
+        box.append((_number(side[0], spath), _number(side[1], spath)))
+    return tuple(box)
 
 
 def _parse_boxes(doc, items):
-    rows: dict[int, tuple] = {}
-    for k, raw in enumerate(items):
-        here = f"$.items[{k}]"
-        rec = _record(raw, here)
-        ident = _integer(_field(rec, "id", here), f"{here}.id")
-        if ident in rows:
-            raise SchemaError(f"duplicate id {ident}", here)
-        sides = _field(rec, "intervals", here)
-        if not isinstance(sides, list) or not sides:
-            raise SchemaError("intervals must be a non-empty list",
-                              f"{here}.intervals")
-        box = []
-        for c, side in enumerate(sides):
-            spath = f"{here}.intervals[{c}]"
-            if not isinstance(side, list) or len(side) != 2:
-                raise SchemaError("each side must be a [low, high] pair", spath)
-            box.append((_number(side[0], spath), _number(side[1], spath)))
-        rows[ident] = tuple(box)
-    n = len(items)
-    if sorted(rows) != list(range(1, n + 1)):
-        raise SchemaError(f"ids must cover 1..{n} exactly", "$.items")
-    ordered = [rows[i] for i in range(1, n + 1)]
-    k = len(ordered[0]) if ordered else 1
-    return _wrap(KBoxModel.build, k, ordered)
+    rows = _by_id(items, _box_row)
+    return _wrap(KBoxModel.build, len(rows[0]) if rows else 1, rows)
 
 
 def _parse_graph(doc, items):
@@ -262,59 +216,62 @@ def _parse_graph(doc, items):
     return _wrap(Graph.build, n, edges)
 
 
-_PARSERS = {
-    "interval": _parse_interval,
-    "arcs": _parse_arcs,
-    "permutation": _parse_permutation,
-    "trapezoid": _parse_trapezoid,
-    "dotted": _parse_dotted,
-    "tolerance": _parse_tolerance,
-    "chords": _parse_chords,
-    "disks": _parse_disks,
-    "boxes": _parse_boxes,
-    "graph": _parse_graph,
+# kind -> (parser, emitter).  A parser takes the document and its items
+# list and returns the typed model; an emitter takes the model and returns
+# the document's keys after "kind", in order.
+_FORMATS = {
+    "interval": (
+        lambda doc, items: _wrap(IntervalModel.build,
+                                 _by_id(items, _numbers("a", "b"))),
+        lambda m: {"items": [{"id": i, "a": _num_out(a), "b": _num_out(b)}
+                             for i, (a, b) in enumerate(m.intervals, start=1)]}),
+    "arcs": (
+        lambda doc, items: _wrap(ArcModel.build, _by_id(items, _numbers("h", "t"))),
+        lambda m: {"items": [{"id": i, "h": _num_out(h), "t": _num_out(t)}
+                             for i, (h, t) in enumerate(m.arcs, start=1)]}),
+    "permutation": (
+        _parse_permutation,
+        lambda p: {"items": [{"pi": list(p.pi)}]}),
+    "trapezoid": (
+        lambda doc, items: _wrap(TrapezoidModel.build, [
+            _integers(row) for row in _by_id(items, _numbers("a", "b", "c", "d"))]),
+        lambda m: {"items": [{"id": i, "a": a, "b": b, "c": c, "d": d}
+                             for i, (a, b, c, d) in enumerate(m.items, start=1)]}),
+    "dotted": (
+        lambda doc, items: tuple(
+            _wrap(DottedInterval.build, *_integers(row))
+            for row in _by_id(items, _numbers("s", "t", "d"))),
+        lambda m: {"items": [{"id": i, "s": it.s, "t": it.t, "d": it.d}
+                             for i, it in enumerate(m, start=1)]}),
+    "tolerance": (
+        _parse_tolerance,
+        lambda m: {"items": [
+            {"id": i, "a": _num_out(a), "b": _num_out(b),
+             "tol": "inf" if t == INFINITE_TOLERANCE else _num_out(t)}
+            for i, ((a, b), t) in enumerate(zip(m.intervals, m.tolerances), start=1)]}),
+    "chords": (
+        lambda doc, items: _wrap(ChordModel.build, [
+            _integers(row) for row in _by_id(items, _numbers("x", "y"))]),
+        lambda m: {"items": [{"id": i, "x": x, "y": y}
+                             for i, (x, y) in enumerate(m.chords, start=1)]}),
+    "disks": (
+        lambda doc, items: _wrap(DiskPoints.build, _by_id(items, _numbers("x", "y")),
+                                 _number(_field(doc, "r", "$"), "$.r")),
+        lambda m: {"r": _num_out(m.r),
+                   "items": [{"id": i, "x": _num_out(x), "y": _num_out(y)}
+                             for i, (x, y) in enumerate(m.points, start=1)]}),
+    "boxes": (
+        _parse_boxes,
+        lambda m: {"items": [
+            {"id": i, "intervals": [[_num_out(lo), _num_out(hi)] for lo, hi in box]}
+            for i, box in enumerate(m.boxes, start=1)]}),
+    "graph": (
+        _parse_graph,
+        lambda g: {"items": [{"n": g.n,
+                              "edges": [[u, v] for u, v in g.sorted_edges()]}]}),
 }
 
-
-def _num_out(x) -> object:
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def _emit_items(mf: ModelFile) -> list:
-    kind, m = mf.kind, mf.model
-    if kind == "interval":
-        return [{"id": i, "a": _num_out(a), "b": _num_out(b)}
-                for i, (a, b) in enumerate(m.intervals, start=1)]
-    if kind == "arcs":
-        return [{"id": i, "h": _num_out(h), "t": _num_out(t)}
-                for i, (h, t) in enumerate(m.arcs, start=1)]
-    if kind == "permutation":
-        return [{"pi": list(m.pi)}]
-    if kind == "trapezoid":
-        return [{"id": i, "a": a, "b": b, "c": c, "d": d}
-                for i, (a, b, c, d) in enumerate(m.items, start=1)]
-    if kind == "dotted":
-        return [{"id": i, "s": it.s, "t": it.t, "d": it.d}
-                for i, it in enumerate(m, start=1)]
-    if kind == "tolerance":
-        return [{"id": i, "a": _num_out(a), "b": _num_out(b),
-                 "tol": "inf" if t == INFINITE_TOLERANCE else _num_out(t)}
-                for i, ((a, b), t)
-                in enumerate(zip(m.intervals, m.tolerances), start=1)]
-    if kind == "chords":
-        return [{"id": i, "x": x, "y": y}
-                for i, (x, y) in enumerate(m.chords, start=1)]
-    if kind == "disks":
-        return [{"id": i, "x": _num_out(x), "y": _num_out(y)}
-                for i, (x, y) in enumerate(m.points, start=1)]
-    if kind == "boxes":
-        return [{"id": i,
-                 "intervals": [[_num_out(lo), _num_out(hi)] for lo, hi in box]}
-                for i, box in enumerate(m.boxes, start=1)]
-    if kind == "graph":
-        return [{"n": m.n, "edges": [[u, v] for u, v in m.sorted_edges()]}]
-    raise SchemaError(f"unknown kind {kind!r}", "$.kind")
+KINDS = tuple(_FORMATS)
 
 
 def emit_model_file(mf: ModelFile) -> str:
@@ -324,10 +281,9 @@ def emit_model_file(mf: ModelFile) -> str:
     as "p/q" strings, a trailing newline.  Parsing and re-emitting any
     emitted text reproduces it byte for byte.
     """
-    doc: dict[str, object] = {"kind": mf.kind}
-    if mf.kind == "disks":
-        doc["r"] = _num_out(mf.model.r)
-    doc["items"] = _emit_items(mf)
+    if mf.kind not in KINDS:
+        raise SchemaError(f"unknown kind {mf.kind!r}", "$.kind")
+    doc: dict[str, object] = {"kind": mf.kind, **_FORMATS[mf.kind][1](mf.model)}
     if mf.weights is not None:
         doc["weights"] = [_num_out(w) for w in mf.weights]
     return json.dumps(doc, indent=2) + "\n"

@@ -177,17 +177,17 @@ def _solve_clique_cover(g: Graph) -> tuple[object, object]:
     return k, parts
 
 
-def _min_cover(universe: int, cover: dict[int, int], candidates: list[int],
-               lower: int = 0) -> Optional[tuple[int, ...]]:
+def _min_cover(universe: int, cover: dict[int, int],
+               candidates: list[int]) -> tuple[int, ...]:
     """Smallest subset of candidates whose cover masks union to universe."""
-    for size in range(lower, len(candidates) + 1):
+    for size in range(len(candidates) + 1):
         for combo in combinations(candidates, size):
             got = 0
             for z in combo:
                 got |= cover[z]
             if got & universe == universe:
                 return combo
-    return None
+    raise InfeasibleProblem("no subset of the candidates covers everything")
 
 
 def _solve_knc(g: Graph, k: int) -> tuple[object, object]:
@@ -207,7 +207,6 @@ def _solve_knc(g: Graph, k: int) -> tuple[object, object]:
                 mask |= 1 << idx
         cover[z] = mask
     combo = _min_cover((1 << len(edges)) - 1, cover, list(g.vertices()))
-    assert combo is not None  # endpoints cover their own edges for k >= 1
     return len(combo), combo
 
 
@@ -226,7 +225,6 @@ def _solve_k_dominating(g: Graph, k: int) -> tuple[object, object]:
                 mask |= 1 << (v - 1)
         cover[z] = mask
     combo = _min_cover((1 << g.n) - 1, cover, list(g.vertices()))
-    assert combo is not None  # D = V always works
     return len(combo), combo
 
 

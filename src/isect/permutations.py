@@ -212,30 +212,16 @@ def _chain_dp(p: Permutation, w: list[Fraction]) -> list[Fraction]:
 def mwis_permutation(p: Permutation, weights: WeightsArg = None) -> tuple[int, ...]:
     """Maximum-weight independent set, lexicographically smallest witness.
 
-    The heaviest chain is computed twice: once along the folded chain
-    tree and once as a heaviest increasing subsequence of the points;
-    the two totals must agree.  The witness then admits vertices in
-    index order whenever the optimum stays reachable, and stops as soon
-    as the remaining target is zero.
+    An independent set is a chain of points increasing in both
+    coordinates, so the optimum is a heaviest increasing subsequence of
+    the points.  The witness then admits vertices in index order
+    whenever the optimum stays reachable, and stops as soon as the
+    remaining target is zero.
     """
     n = p.n
     w = coerce_weights(n, weights)
     best = _chain_dp(p, w)
     total = max(best, default=Fraction(0))
-    if total < 0:
-        total = Fraction(0)
-    # same maximum along direct-successor steps only: refining a chain
-    # into direct steps never loses weight
-    rep = PointRep.from_permutation(p)
-    pts = rep.points
-    tree_best: dict[Point, Fraction] = {}
-    for q in sorted(pts, reverse=True):
-        kids = _direct_children(pts, q)
-        tail = max((tree_best[c] for c in kids), default=Fraction(0))
-        tree_best[q] = w[q[0] - 1] + tail
-    start = _direct_children(pts, ORIGIN)
-    tree_total = max((tree_best[c] for c in start), default=Fraction(0))
-    assert tree_total == total, "chain tree and subsequence DP disagree"
     chosen: list[int] = []
     rem = total
     last_pos = 0

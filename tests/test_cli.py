@@ -1,9 +1,14 @@
 """Command dispatch, exit codes, stable output, dual-path agreement."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+from isect import cli
 from isect.cli import execute
-from isect.modelfile import parse_model_file
+from isect.generators import GeneratorSpec, generate_model
+from isect.modelfile import emit_model_file, parse_model_file
 
 DOTTED_FILE = """
 {"kind": "dotted", "items": [
@@ -80,6 +85,25 @@ def test_solve_interval_problems_match_oracle(tmp_path, capsys):
         assert solved.splitlines()[0] == brute.splitlines()[0], problem
 
 
+# every (kind, problem) pair with a structured solver; mis runs the mwis one
+STRUCTURED = sorted(cli._SOLVERS) + sorted(
+    (kind, "mis") for kind, problem in cli._SOLVERS if problem == "mwis")
+
+
+@pytest.mark.parametrize("kind, problem", STRUCTURED)
+def test_structured_solve_matches_oracle(kind, problem, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    for seed, n in enumerate((1, 3, 5, 7, 9, 11, 12, 12), start=1):
+        mf = generate_model(GeneratorSpec(kind, n, seed, {"weights": True}))
+        path.write_text(emit_model_file(mf))
+        rc_s, solved, _ = run(capsys, "solve", "--model", str(path),
+                              "--problem", problem)
+        rc_o, brute, _ = run(capsys, "oracle", "--model", str(path),
+                             "--problem", problem)
+        assert rc_s == rc_o == 0
+        assert solved.splitlines()[0] == brute.splitlines()[0], (n, seed)
+
+
 def test_check_umbrella_hundred_models(capsys):
     rc, out, _ = run(capsys, "check", "umbrella", "--kind", "interval",
                      "--count", "100", "--seed", "7")
@@ -124,14 +148,16 @@ def test_solve_without_structured_path_fails_cleanly(tmp_path, capsys):
     assert "structured" in err
 
 
-def test_bench_prints_table(capsys):
-    rc, out, _ = run(capsys, "bench", "--kind", "permutation", "--seed", "2")
-    assert rc == 0
-    lines = out.splitlines()
-    assert lines[0].split() == ["problem", "n", "structured", "oracle"]
-    assert len(lines) == 3
-
-
 def test_help_exits_zero(capsys):
     rc, _, _ = run(capsys, "--help")
     assert rc == 0
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so a runtime check written as one is lost
+    package = Path(cli.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -32,6 +32,7 @@ from isect.geom import (
     line_graph,
     verify_box_representation,
 )
+from isect.generators import GeneratorSpec, generate_model
 from isect.graph import Graph
 from isect.intervals import IntervalModel, build_interval_graph
 from isect.oracles import (
@@ -278,6 +279,28 @@ def test_one_dimensional_boxes_match_interval_builder():
         assert g.sorted_edges() == build_interval_graph(
             IntervalModel.build(pairs)).sorted_edges()
         assert verify_box_representation(g, m)
+
+
+def _drawn_boxes(rng: SplitMix64) -> KBoxModel:
+    # a small coordinate range, so that sides often touch or coincide
+    k, n = rng.randint(1, 3), rng.randint(1, 9)
+    boxes = []
+    for _ in range(n):
+        lows = [rng.randint(0, 8) for _ in range(k)]
+        boxes.append([(lo, lo + rng.randint(1, 4)) for lo in lows])
+    return KBoxModel.build(k, boxes)
+
+
+def test_box_graph_is_the_intersection_of_its_axis_graphs():
+    rng = SplitMix64(0xB0E5)
+    models = [_drawn_boxes(rng) for _ in range(40)]
+    models += [generate_model(GeneratorSpec("boxes", n, seed, {"k": k})).model
+               for k in (1, 2, 3) for n in (5, 12) for seed in (1, 2)]
+    for m in models:
+        axes = [build_interval_graph(IntervalModel.build([box[c] for box in m.boxes]))
+                for c in range(m.k)]
+        common = frozenset.intersection(*(g.edges for g in axes))
+        assert build_box_graph(m).edges == common
 
 
 def test_boxes_sharing_a_point_form_a_clique():

@@ -9,7 +9,7 @@ from isect.generators import GeneratorSpec, generate_model
 from isect.geom import INFINITE_TOLERANCE, DottedInterval
 from isect.graph import Graph
 from isect.intervals import IntervalModel
-from isect.modelfile import ModelFile, emit_model_file, parse_model_file
+from isect.modelfile import KINDS, ModelFile, emit_model_file, parse_model_file
 
 MINIMAL_INTERVAL = """
 {"kind": "interval",
@@ -82,10 +82,17 @@ def test_rational_strings():
 
 
 def test_duplicate_ids_rejected():
-    bad = ('{"kind": "chords", "items": ['
-           '{"id": 1, "x": 1, "y": 2}, {"id": 1, "x": 3, "y": 4}]}')
-    with pytest.raises(SchemaError, match="duplicate id"):
-        parse_model_file(bad)
+    # two records of each kind; the second id is either a repeat or a gap
+    records = {"chords": ('"x": 1, "y": 2', '"x": 3, "y": 4'),
+               "tolerance": ('"a": 0, "b": 2, "tol": 1',
+                             '"a": 1, "b": 3, "tol": "inf"'),
+               "boxes": ('"intervals": [[0, 1]]', '"intervals": [[2, 3]]')}
+    doc = '{"kind": "%s", "items": [{"id": 1, %s}, {"id": %d, %s}]}'
+    for kind, (first, second) in records.items():
+        with pytest.raises(SchemaError, match="duplicate id"):
+            parse_model_file(doc % (kind, first, 1, second))
+        with pytest.raises(SchemaError, match=r"ids must cover 1\.\.2 exactly"):
+            parse_model_file(doc % (kind, first, 3, second))
 
 
 def test_weights_as_list_and_mapping():
@@ -154,8 +161,7 @@ def test_emit_is_canonical():
 
 
 def test_generated_models_round_trip_every_kind():
-    for kind in ("interval", "arcs", "permutation", "trapezoid", "dotted",
-                 "tolerance", "chords", "disks", "boxes", "graph"):
+    for kind in KINDS:
         mf = generate_model(GeneratorSpec(kind, 6, 99, {"weights": True}))
         text = emit_model_file(mf)
         back = parse_model_file(text)
