@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     BadParams,
@@ -34,10 +35,11 @@ from .intervals import (
     build_interval_graph,
     mwis_interval,
     normalize,
-    overlaps,
+    rank_pairs,
 )
 
 ArcPair = tuple[Fraction, Fraction]
+Span = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,6 @@ class ArcModel:
     """A family of circular arcs with pairwise distinct endpoints."""
 
     arcs: tuple[ArcPair, ...]
-    canonical: bool
-    covers_circle: bool
 
     @staticmethod
     def build(arcs: Iterable[tuple[object, object]]) -> "ArcModel":
@@ -67,7 +67,9 @@ class ArcModel:
                     raise SharedEndpoint(
                         f"arcs {seen[x]} and {k} share the endpoint {x}")
                 seen[x] = k
-        return ArcModel(tuple(pairs), _is_canonical(pairs), _covers(pairs))
+        model = ArcModel(tuple(pairs))
+        model.spans  # rank the endpoints now, once, while the model is built
+        return model
 
     @property
     def n(self) -> int:
@@ -79,40 +81,49 @@ class ArcModel:
     def tail(self, r: int) -> Fraction:
         return self.arcs[r - 1][1]
 
+    @cached_property
+    def spans(self) -> tuple[Span, ...]:
+        """The arcs with each endpoint replaced by its rank in 1..2n."""
+        return rank_pairs(self.arcs)
 
-def _is_canonical(pairs: Sequence[ArcPair]) -> bool:
-    if not pairs:
-        return True
-    values = sorted(x for pair in pairs for x in pair)
-    if any(x.denominator != 1 for x in values):
-        return False
-    if [int(x) for x in values] != list(range(1, 2 * len(pairs) + 1)):
-        return False
-    heads = [h for h, _ in pairs]
-    return heads[0] == 1 and all(a < b for a, b in zip(heads, heads[1:]))
+    @cached_property
+    def canonical(self) -> bool:
+        """Endpoints are their own ranks and the heads increase from 1."""
+        heads = [h for h, _ in self.spans]
+        return (self.arcs == self.spans and heads[:1] in ([], [1])
+                and all(x < y for x, y in zip(heads, heads[1:])))
+
+    @cached_property
+    def covers_circle(self) -> bool:
+        """Every point of the circle lies on some arc."""
+        return self.n > 0 and _uncovered_gap(self.spans) is None
 
 
-def _rank_map(pairs: Sequence[ArcPair]) -> dict[Fraction, int]:
-    ordered = sorted(x for pair in pairs for x in pair)
-    return {x: k for k, x in enumerate(ordered, start=1)}
-
-
-def _covers(pairs: Sequence[ArcPair]) -> bool:
-    # the circle is covered iff every gap between cyclically consecutive
-    # endpoints lies inside some arc; gaps hold no endpoints, so an arc
-    # covers the gap after the point ranked p exactly when its walk from
-    # head to tail crosses a seam placed inside that gap
-    if not pairs:
-        return False
-    ranks = _rank_map(pairs)
-    two_n = len(ranks)
-    spans = [(ranks[h], ranks[t]) for h, t in pairs]
+def _uncovered_gap(spans: Sequence[Span]) -> Optional[int]:
+    # the rank p of the first endpoint whose following gap no arc covers;
+    # gaps hold no endpoints, so an arc covers the gap after p exactly when
+    # its walk from head to tail crosses a seam placed inside that gap
+    two_n = 2 * len(spans)
     for p in range(1, two_n + 1):
-        def across(h: int, t: int) -> bool:
-            return (h - p - 1) % two_n > (t - p - 1) % two_n
-        if not any(across(h, t) for h, t in spans):
-            return False
-    return True
+        if not any((h - p - 1) % two_n > (t - p - 1) % two_n for h, t in spans):
+            return p
+    return None
+
+
+def _inside(arc: tuple, p: object) -> bool:
+    # p strictly inside the clockwise walk from the head to the tail
+    h, t = arc
+    if h < t:
+        return h < p < t
+    return p > h or p < t
+
+
+def _meet(a: tuple, b: tuple) -> bool:
+    return _inside(a, b[0]) or _inside(a, b[1]) or _inside(b, a[0]) or _inside(b, a[1])
+
+
+def _rational(arc: tuple[object, object]) -> ArcPair:
+    return Fraction(arc[0]), Fraction(arc[1])
 
 
 def arc_contains_point(arc: tuple[object, object], p: object) -> bool:
@@ -120,33 +131,22 @@ def arc_contains_point(arc: tuple[object, object], p: object) -> bool:
 
     pre: p differs from both endpoints of the arc.
     """
-    h, t = Fraction(arc[0]), Fraction(arc[1])
-    p = Fraction(p)
-    if h < t:
-        return h < p < t
-    return p > h or p < t
-
-
-def _closed_contains(arc: ArcPair, p: Fraction) -> bool:
-    h, t = arc
-    if h < t:
-        return h <= p <= t
-    return p >= h or p <= t
+    return _inside(_rational(arc), Fraction(p))
 
 
 def arcs_intersect(a: tuple[object, object], b: tuple[object, object]) -> bool:
     """True when two arcs with all-distinct endpoints share a point."""
-    return (arc_contains_point(a, b[0]) or arc_contains_point(a, b[1])
-            or arc_contains_point(b, a[0]) or arc_contains_point(b, a[1]))
+    return _meet(_rational(a), _rational(b))
 
 
 def build_circular_arc_graph(m: ArcModel) -> Graph:
     """Intersection graph of the arcs, vertex r for arc r."""
     n = m.n
+    spans = m.spans
     edges = [(i, j)
              for i in range(1, n + 1)
              for j in range(i + 1, n + 1)
-             if arcs_intersect(m.arcs[i - 1], m.arcs[j - 1])]
+             if _meet(spans[i - 1], spans[j - 1])]
     return Graph.build(n, edges)
 
 
@@ -162,29 +162,18 @@ def canonicalize(
     m0 = arcs if isinstance(arcs, ArcModel) else ArcModel.build(arcs)
     if m0.n == 0:
         return m0, ()
-    ranks = _rank_map(m0.arcs)
     two_n = 2 * m0.n
-    spans = [(ranks[h], ranks[t]) for h, t in m0.arcs]
-    base = min(h for h, _ in spans)
-    rotated = [(Fraction((h - base) % two_n + 1), Fraction((t - base) % two_n + 1))
-               for h, t in spans]
+    base = min(h for h, _ in m0.spans)
+    rotated = [((h - base) % two_n + 1, (t - base) % two_n + 1) for h, t in m0.spans]
     order = sorted(range(1, m0.n + 1), key=lambda j: rotated[j - 1][0])
-    model = ArcModel.build([rotated[j - 1] for j in order])
-    if not model.canonical:
-        raise MalformedModel("canonicalization left a non-canonical model")
-    g0 = build_circular_arc_graph(m0)
-    g1 = build_circular_arc_graph(model)
-    mapped = {tuple(sorted((order[u - 1], order[v - 1]))) for u, v in g1.edges}
-    if mapped != set(g0.edges):
-        raise MalformedModel("canonicalization changed the intersection graph")
-    return model, tuple(order)
+    return ArcModel.build([rotated[j - 1] for j in order]), tuple(order)
 
 
 @dataclass(frozen=True)
 class CutSplit:
     """Arc ids on either side of a cut placed just past ``cut_point``."""
 
-    cut_point: Fraction
+    cut_point: int
     backward: frozenset[int]
     forward: frozenset[int]
 
@@ -201,9 +190,10 @@ def split_at_cut(m: ArcModel) -> CutSplit:
         raise MalformedModel("cut splits need a canonical model")
     if m.n == 0:
         raise EmptyGraph("cannot split an empty model")
-    cut = m.arcs[-1][1]
+    cut = m.spans[-1][1]
+    # endpoints are distinct, so the cut is an endpoint of arc n alone
     back = frozenset(r for r in range(1, m.n + 1)
-                     if _closed_contains(m.arcs[r - 1], cut))
+                     if r == m.n or _inside(m.spans[r - 1], cut))
     fwd = frozenset(range(1, m.n + 1)) - back
     return CutSplit(cut, back, fwd)
 
@@ -220,40 +210,25 @@ def delete_closed_neighborhood(
     """
     if not 1 <= i <= m.n:
         raise MalformedModel(f"arc {i} is out of range")
-    target = m.arcs[i - 1]
+    spans = m.spans
+    target = spans[i - 1]
     survivors = [r for r in range(1, m.n + 1)
-                 if r != i and not arcs_intersect(target, m.arcs[r - 1])]
-    ranks = _rank_map(m.arcs)
+                 if r != i and not _meet(target, spans[r - 1])]
     two_n = 2 * m.n
-    h0 = ranks[target[0]]
-    def straight(x: Fraction) -> int:
-        return (ranks[x] - h0) % two_n
-    pairs = [(straight(m.arcs[r - 1][0]), straight(m.arcs[r - 1][1]))
+    h0 = target[0]
+    pairs = [((spans[r - 1][0] - h0) % two_n, (spans[r - 1][1] - h0) % two_n)
              for r in survivors]
     return IntervalModel.build(pairs), tuple(survivors)
 
 
-def _uncovered_gap_point(m: ArcModel) -> Fraction:
-    ranks = _rank_map(m.arcs)
-    two_n = len(ranks)
-    spans = [(ranks[h], ranks[t]) for h, t in m.arcs]
-    by_rank = {k: x for x, k in ranks.items()}
-    for p in range(1, two_n + 1):
-        if not any((h - p - 1) % two_n > (t - p - 1) % two_n for h, t in spans):
-            return by_rank[p]
-    raise InfeasibleProblem("every gap of the circle is covered")
-
-
-def _straighten(m: ArcModel, cut_point: Fraction) -> list[tuple[int, int]]:
-    # unroll the circle at a seam just past cut_point; arcs that cross
-    # the seam keep their exit position but extend to the left of it
-    ranks = _rank_map(m.arcs)
-    two_n = len(ranks)
-    c = ranks[cut_point]
-    out: list[tuple[int, int]] = []
-    for h, t in m.arcs:
-        lh = (ranks[h] - c - 1) % two_n + 1
-        lt = (ranks[t] - c - 1) % two_n + 1
+def _straighten(m: ArcModel, cut: int) -> list[Span]:
+    # unroll the circle at a seam just past the endpoint ranked cut; arcs
+    # that cross the seam keep their exit position but extend left of it
+    two_n = 2 * m.n
+    out: list[Span] = []
+    for h, t in m.spans:
+        lh = (h - cut - 1) % two_n + 1
+        lt = (t - cut - 1) % two_n + 1
         out.append((lh, lt) if lh < lt else (lh - two_n, lt))
     return out
 
@@ -266,7 +241,9 @@ def straighten_at_gap(m: ArcModel) -> IntervalModel:
     """
     if m.n == 0:
         return IntervalModel.build([])
-    cut = _uncovered_gap_point(m)
+    cut = _uncovered_gap(m.spans)
+    if cut is None:
+        raise InfeasibleProblem("every gap of the circle is covered")
     return IntervalModel.build(_straighten(m, cut))
 
 
@@ -276,24 +253,15 @@ def arcs_to_intervals_with_sentinel(m: ArcModel) -> IntervalModel:
     Vertex r <= n is arc r; arcs crossing the seam just past the last
     tail become intervals reaching left of the origin.  Vertex n + 1 is
     a sentinel interval that ends at the origin, placed so it meets
-    exactly the seam-crossing intervals; that invariant is checked here.
+    exactly the seam-crossing intervals.
     """
     if not m.canonical:
         raise MalformedModel("the sentinel transfer needs a canonical model")
     if m.n == 0:
         raise EmptyGraph("cannot transfer an empty model")
-    two_n = 2 * m.n
-    cut = m.arcs[-1][1]
-    pairs = _straighten(m, cut)
-    h_last = pairs[-1][0]
-    sentinel = (h_last - two_n, 0)
-    model = IntervalModel.build(pairs + [sentinel])
-    s = m.n + 1
-    for r in range(1, m.n + 1):
-        crosses = pairs[r - 1][0] <= 0
-        if overlaps(model, s, r) != crosses:
-            raise MalformedModel("sentinel interval meets a non-crossing arc")
-    return model
+    pairs = _straighten(m, m.spans[-1][1])
+    sentinel = (pairs[-1][0] - 2 * m.n, 0)
+    return IntervalModel.build(pairs + [sentinel])
 
 
 def mwis_circular_arc(m: ArcModel, weights: Weights = None) -> tuple[int, ...]:
@@ -335,31 +303,25 @@ def mwis_circular_arc(m: ArcModel, weights: Weights = None) -> tuple[int, ...]:
     return best[1]
 
 
-def _cut_distance_matrix(m: ArcModel, cut_point: Fraction) -> list[list[int]]:
+def _relabel(d: Sequence[Sequence[int]], order: Sequence[int]) -> list[list[int]]:
+    # entry (x, y) of d is the distance between the vertices order[x] and
+    # order[y]; the result is indexed by those vertices instead
+    pos = [0] * len(order)
+    for x, v in enumerate(order):
+        pos[v - 1] = x
+    return [[row[y] for y in pos] for row in (d[x] for x in pos)]
+
+
+def _cut_distance_matrix(m: ArcModel, cut: int) -> list[list[int]]:
     # distances of the straightened model: an upper bound on the arc
     # graph distances, because straightening only removes adjacencies
-    n = m.n
-    inf = n + 1
-    im = IntervalModel.build(_straighten(m, cut_point))
-    strict, order = normalize(im)
-    dist = [[inf] * n for _ in range(n)]
+    strict, order = normalize(IntervalModel.build(_straighten(m, cut)))
     ig = build_interval_graph(strict)
-    if ig.is_connected() and n > 0:
-        d = apsp_interval(strict)
-        for x in range(n):
-            ox = order[x] - 1
-            row = dist[ox]
-            for y in range(n):
-                row[order[y] - 1] = d[x][y]
-    else:
-        d2 = bfs_apsp(ig)
-        for x in range(n):
-            ox = order[x] - 1
-            row = dist[ox]
-            for y in range(n):
-                val = d2[x][y]
-                row[order[y] - 1] = inf if val is None else val
-    return dist
+    if ig.is_connected():
+        return _relabel(apsp_interval(strict), order)
+    far = m.n + 1
+    return _relabel([[far if x is None else x for x in row] for row in bfs_apsp(ig)],
+                    order)
 
 
 def _distance_violations(g: Graph, dist: list[list[int]]) -> bool:
@@ -410,14 +372,7 @@ def apsp_circular_arc(m: ArcModel) -> list[list[int]]:
         raise EmptyGraph("no distances in an empty model")
     if not m.canonical:
         canon, order = canonicalize(m)
-        sub = apsp_circular_arc(canon)
-        n = m.n
-        out = [[0] * n for _ in range(n)]
-        for x in range(n):
-            ox = order[x] - 1
-            for y in range(n):
-                out[ox][order[y] - 1] = sub[x][y]
-        return out
+        return _relabel(apsp_circular_arc(canon), order)
     g = build_circular_arc_graph(m)
     if not g.is_connected():
         raise DisconnectedGraph("distances need a connected model")
@@ -426,42 +381,26 @@ def apsp_circular_arc(m: ArcModel) -> list[list[int]]:
         return [[0]]
     if not m.covers_circle:
         strict, order = normalize(straighten_at_gap(m))
-        d = apsp_interval(strict)
-        out = [[0] * n for _ in range(n)]
-        for x in range(n):
-            ox = order[x] - 1
-            for y in range(n):
-                out[ox][order[y] - 1] = d[x][y]
-        return out
+        return _relabel(apsp_interval(strict), order)
     dist = [[n + 1] * n for _ in range(n)]
     for u in range(1, n + 1):
         dist[u - 1][u - 1] = 0
         for v in g.adj[u]:
             dist[u - 1][v - 1] = 1
-    first = m.arcs[-1][1]
-    second = m.arcs[(n + 1) // 2 - 1][1]
-    used = {first, second}
-    for cut in (first, second):
+    tails = [t for _, t in m.spans]
+    used: set[int] = set()
+    for cut in [tails[-1], tails[(n + 1) // 2 - 1]] + tails:
+        if cut in used:
+            continue
+        used.add(cut)
         folded = _cut_distance_matrix(m, cut)
-        for u in range(n):
-            row, frow = dist[u], folded[u]
+        for row, frow in zip(dist, folded):
             for v in range(n):
                 if frow[v] < row[v]:
                     row[v] = frow[v]
-    if _distance_violations(g, dist):
-        for r in range(1, n + 1):
-            cut = m.arcs[r - 1][1]
-            if cut in used:
-                continue
-            used.add(cut)
-            folded = _cut_distance_matrix(m, cut)
-            for u in range(n):
-                row, frow = dist[u], folded[u]
-                for v in range(n):
-                    if frow[v] < row[v]:
-                        row[v] = frow[v]
-            if not _distance_violations(g, dist):
-                break
+        # the first two cuts are always folded before the first check
+        if len(used) >= 2 and not _distance_violations(g, dist):
+            break
     _relax_to_fixpoint(g, dist)
     return dist
 
@@ -471,12 +410,10 @@ def is_proper(m: ArcModel) -> bool:
     n = m.n
     if n <= 1:
         return True
-    ranks = _rank_map(m.arcs)
     two_n = 2 * n
-    spans = [(ranks[h], ranks[t]) for h, t in m.arcs]
-    for ho, to in spans:
+    for ho, to in m.spans:
         end = (to - ho) % two_n
-        for hi, ti in spans:
+        for hi, ti in m.spans:
             if (hi, ti) == (ho, to):
                 continue
             oh = (hi - ho) % two_n

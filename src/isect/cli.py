@@ -358,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run a structured solver on a model")
     p.add_argument("--model", required=True)
     p.add_argument("--problem", required=True,
-                   help="mis, mwis, max_clique, or coloring")
+                   choices=("mis", "mwis", "max_clique", "coloring"))
 
     p = sub.add_parser("oracle", help="run the brute-force solver on a model")
     p.add_argument("--model", required=True)

@@ -4,6 +4,10 @@ An interval model is a list of closed intervals [a_r, b_r] with exact
 rational endpoints, one per vertex r in 1..n.  A strict model has all 2n
 endpoints pairwise distinct and is indexed by increasing right endpoint;
 the tree, distance, spanner and clique routines all lean on that order.
+
+The graphs depend only on the order of the endpoints, so a model ranks
+them to small integers once, when it is built, and every algorithm here
+compares those ranks (``spans``) rather than the rationals.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -51,17 +56,19 @@ class IntervalModel:
                     f"interval {r}: [{a}, {b}] has no interior; points are rejected")
             pairs.append((a, b))
         model = IntervalModel(tuple(pairs), strict)
+        spans = model.spans  # rank the endpoints now, once, while the model is built
         if strict:
-            model._check_strict()
+            # dense ranks reach 2n exactly when all 2n endpoints differ
+            if max((b for _, b in spans), default=0) != 2 * model.n:
+                raise NotStrict("strict models need pairwise distinct endpoints")
+            if any(x[1] >= y[1] for x, y in zip(spans, spans[1:])):
+                raise NotStrict("strict models are indexed by increasing right endpoint")
         return model
 
-    def _check_strict(self) -> None:
-        pts = [x for ab in self.intervals for x in ab]
-        if len(set(pts)) != len(pts):
-            raise NotStrict("strict models need pairwise distinct endpoints")
-        rights = [b for _, b in self.intervals]
-        if any(x >= y for x, y in zip(rights, rights[1:])):
-            raise NotStrict("strict models are indexed by increasing right endpoint")
+    @cached_property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """The intervals with each endpoint replaced by its rank."""
+        return rank_pairs(self.intervals)
 
     @property
     def n(self) -> int:
@@ -74,17 +81,32 @@ class IntervalModel:
         return self.intervals[r - 1][1]
 
 
+def rank_pairs(pairs: Sequence[tuple[Fraction, Fraction]]) -> tuple[tuple[int, int], ...]:
+    """Each endpoint's dense rank, from 1, among the distinct endpoints.
+
+    Equal endpoints share a rank, so the ranks keep every comparison
+    between endpoints, ties included.
+    """
+    pts = [x for pair in pairs for x in pair]
+    if all(x.denominator == 1 for x in pts):
+        # integers sort and hash natively, far faster than Fractions
+        pts = [x.numerator for x in pts]
+    rank = {x: k for k, x in enumerate(sorted(set(pts)), start=1)}
+    ranked = [rank[x] for x in pts]
+    return tuple(zip(ranked[::2], ranked[1::2]))
+
+
 def overlaps(m: IntervalModel, i: int, j: int) -> bool:
     """Closed-interval intersection test; touching endpoints count."""
-    ai, bi = m.intervals[i - 1]
-    aj, bj = m.intervals[j - 1]
+    ai, bi = m.spans[i - 1]
+    aj, bj = m.spans[j - 1]
     return max(ai, aj) <= min(bi, bj)
 
 
 def build_interval_graph(m: IntervalModel) -> Graph:
     """Intersection graph of the model: edge (i,j) iff the intervals meet."""
     edges = []
-    iv = m.intervals
+    iv = m.spans
     for i in range(len(iv)):
         ai, bi = iv[i]
         for j in range(i + 1, len(iv)):
@@ -94,11 +116,11 @@ def build_interval_graph(m: IntervalModel) -> Graph:
     return Graph.build(m.n, edges)
 
 
-def _events(m: IntervalModel) -> list[tuple[Fraction, int, int]]:
+def _events(m: IntervalModel) -> list[tuple[int, int, int]]:
     # left endpoints sort before right endpoints at equal coordinates, so
     # touching intervals are simultaneously active at the shared point
     ev = []
-    for r, (a, b) in enumerate(m.intervals, start=1):
+    for r, (a, b) in enumerate(m.spans, start=1):
         ev.append((a, 0, r))
         ev.append((b, 1, r))
     ev.sort()
@@ -169,12 +191,8 @@ def _highest_lowest(m: IntervalModel) -> tuple[list[int], list[int]]:
     # H(u) = max{w : a_w <= b_u}; L(u) = min{w : b_w >= a_u}; both tests
     # coincide with adjacency for strict models because b is increasing
     n = m.n
-    a: list = [p[0] for p in m.intervals]
-    b: list = [p[1] for p in m.intervals]
-    if all(x.denominator == 1 for x in a) and all(x.denominator == 1 for x in b):
-        # integer endpoints compare natively, which large models feel
-        a = [x.numerator for x in a]
-        b = [x.numerator for x in b]
+    a = [p[0] for p in m.spans]
+    b = [p[1] for p in m.spans]
     by_a = sorted(range(n), key=a.__getitem__)
     high = [0] * (n + 1)
     p = 0
@@ -276,11 +294,8 @@ def apsp_interval(m: IntervalModel) -> list[list[int]]:
     for u in range(1, n):
         if high[u] == u:
             raise DisconnectedGraph(f"vertex {u} meets no later interval")
-    # rank-compress the endpoints so searches run on machine integers
-    pts = sorted(x for ab in m.intervals for x in ab)
-    rank = {x: i for i, x in enumerate(pts)}
-    a = np.array([rank[p[0]] for p in m.intervals], dtype=np.int64)
-    b = [rank[p[1]] for p in m.intervals]
+    a = np.array([p[0] for p in m.spans], dtype=np.int64)
+    b = [p[1] for p in m.spans]
     out = np.zeros((n, n), dtype=np.int64)
     for u in range(1, n):
         chain = []
@@ -380,11 +395,12 @@ Weights = Union[None, Mapping[int, object], Sequence[object]]
 
 def _best_weight(m: IntervalModel, w: list[Fraction], cands: Iterable[int]) -> Fraction:
     # max total weight of a pairwise disjoint subfamily of cands
-    order = sorted(cands, key=lambda r: m.intervals[r - 1][1])
-    rights = [m.intervals[r - 1][1] for r in order]
+    spans = m.spans
+    order = sorted(cands, key=lambda r: spans[r - 1][1])
+    rights = [spans[r - 1][1] for r in order]
     best = [Fraction(0)] * (len(order) + 1)
     for k, r in enumerate(order, start=1):
-        a = m.intervals[r - 1][0]
+        a = spans[r - 1][0]
         j = bisect_left(rights, a)  # entries before j end strictly left of a
         best[k] = max(best[k - 1], best[j] + w[r - 1])
     return best[-1]

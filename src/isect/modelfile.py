@@ -2,7 +2,7 @@
 
 A file is an object {"kind": ..., "items": [...]} with optional
 "weights" and kind-specific extras.  Exact rationals travel as strings
-like "3/4" (or decimal strings); floats are rejected outright so no
+like "3/4" (or decimals without an exponent); floats are rejected so no
 value is ever silently rounded.
 """
 
@@ -44,6 +44,9 @@ def _number(raw: object, path: str) -> Fraction:
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
+        # Fraction reads "1e999999999" by building the whole power of ten
+        if "e" in raw or "E" in raw:
+            raise SchemaError(f"exponent form is not accepted: {raw!r}", path)
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
@@ -134,6 +137,9 @@ def parse_model_file(text: str) -> ModelFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}", "$") from exc
+    except (RecursionError, ValueError) as exc:
+        # nested past the recursion limit, or an integer past int's digit limit
+        raise SchemaError(f"JSON beyond the reader's limits: {exc}", "$") from exc
     doc = _record(doc, "$")
     kind = _field(doc, "kind", "$")
     # a tuple lookup, so an unhashable kind such as a list is a schema error

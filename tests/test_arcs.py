@@ -136,22 +136,51 @@ def test_canonicalize_fixture():
     assert order == (2, 3, 1)
 
 
+def random_rational_arcs(rng: SplitMix64, n: int) -> list[tuple[Fraction, Fraction]]:
+    """n arcs on distinct non-integer rationals, or [] when the draw collides."""
+    pool = [Fraction(rng.randint(-300, 300), rng.randint(1, 9)) for _ in range(4 * n)]
+    vals = sorted(set(pool))
+    if len(vals) < 2 * n:
+        return []
+    rng.shuffle(vals)
+    return [(vals[2 * k], vals[2 * k + 1]) for k in range(n)]
+
+
 def test_canonicalize_preserves_graph():
     rng = SplitMix64(911)
-    for _ in range(25):
+    for trial in range(50):
         n = rng.randint(1, 10)
-        pool = [Fraction(rng.randint(-300, 300), rng.randint(1, 9)) for _ in range(4 * n)]
-        vals = sorted(set(pool))
-        if len(vals) < 2 * n:
+        # every other input is already canonical, and must come back unchanged
+        raw = (random_rational_arcs(rng, n) if trial % 2 == 0
+               else random_arc_model(rng, n).arcs)
+        if not raw:
             continue
-        rng.shuffle(vals)
-        raw = [(vals[2 * k], vals[2 * k + 1]) for k in range(n)]
         g0 = build_circular_arc_graph(ArcModel.build(raw))
         model, order = canonicalize(raw)
+        assert model.canonical
+        if ArcModel.build(raw).canonical:
+            assert model.arcs == tuple(raw) and order == tuple(range(1, n + 1))
         g1 = build_circular_arc_graph(model)
         mapped = {tuple(sorted((order[u - 1], order[v - 1]))) for u, v in g1.edges}
         assert mapped == {tuple(sorted((u, v))) for u, v in g0.edges}
         assert sorted(order) == list(range(1, n + 1))
+
+
+def test_spans_rank_the_endpoints():
+    rng = SplitMix64(913)
+    for _ in range(40):
+        raw = random_rational_arcs(rng, rng.randint(1, 10))
+        if not raw:
+            continue
+        m = ArcModel.build(raw)
+        pts = [x for pair in m.arcs for x in pair]
+        ranks = [x for pair in m.spans for x in pair]
+        assert sorted(ranks) == list(range(1, 2 * m.n + 1))
+        for x, rx in zip(pts, ranks):
+            for y, ry in zip(pts, ranks):
+                assert (x < y) == (rx < ry)
+        canon, _ = canonicalize(m)
+        assert canon.spans == canon.arcs
 
 
 # -- cut splits --------------------------------------------------------------
@@ -223,6 +252,19 @@ def test_sentinel_meets_exactly_the_crossing_arcs():
     for u in range(1, 4):
         for v in range(u + 1, 4):
             assert g.has_edge(u, v) or not overlaps(model, u, v)
+
+
+def test_sentinel_meets_exactly_the_crossing_arcs_property():
+    rng = SplitMix64(931)
+    for _ in range(40):
+        m = random_arc_model(rng, rng.randint(1, 10))
+        model = arcs_to_intervals_with_sentinel(m)
+        s = m.n + 1
+        assert model.n == s
+        # the seam sits half a step past the last tail
+        seam = m.tail(m.n) + Fraction(1, 2)
+        for r in range(1, s):
+            assert overlaps(model, s, r) == arc_contains_point(m.arcs[r - 1], seam)
 
 
 def test_sentinel_transfer_rejects():

@@ -140,6 +140,22 @@ def test_exit_codes(tmp_path, capsys):
     assert rc == 1 and "interval 1" in err
 
 
+def test_json_beyond_reader_limits_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    huge = '{"kind": "interval", "items": [{"id": 1, "a": %s, "b": 2}]}' % ("1" * 5000)
+    for text in ("[" * 50000, huge):
+        path.write_text(text)
+        rc, _, err = run(capsys, "build", "--model", str(path))
+        assert rc == 1 and err.startswith("error: $: JSON beyond the reader's limits")
+
+
+def test_solve_rejects_unknown_problem_as_usage_error(tmp_path, capsys):
+    path = tmp_path / "dotted.json"
+    path.write_text(DOTTED_FILE)
+    rc, _, err = run(capsys, "solve", "--model", str(path), "--problem", "mwsi")
+    assert rc == 2 and "invalid choice" in err
+
+
 def test_solve_without_structured_path_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text('{"kind": "graph", "items": [{"n": 3, "edges": [[1, 2]]}]}')

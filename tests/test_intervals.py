@@ -146,6 +146,19 @@ def test_normalize_preserves_graph_property(pairs):
 
 @settings(max_examples=60, deadline=None)
 @given(small_models)
+def test_spans_order_like_the_rationals(pairs):
+    # small denominators over a short range make shared endpoints common
+    m = IntervalModel.build(pairs)
+    pts = [x for ab in m.intervals for x in ab]
+    ranks = [x for ab in m.spans for x in ab]
+    assert sorted(set(ranks)) == list(range(1, len(set(pts)) + 1))
+    for x, rx in zip(pts, ranks):
+        for y, ry in zip(pts, ranks):
+            assert (x < y) == (rx < ry) and (x == y) == (rx == ry)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_models)
 def test_umbrella_property(pairs):
     strict, _ = normalize(IntervalModel.build(pairs))
     g = build_interval_graph(strict)

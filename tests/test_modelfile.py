@@ -59,6 +59,11 @@ def test_schema_errors_carry_paths():
         ('{"kind": "interval", "items": [{"id": 1, "a": 1}]}', "$.items[0]"),
         ('{"kind": "interval", "items": [{"id": 2, "a": 1, "b": 2}]}',
          "$.items"),
+        # exponent form would make Fraction build a ten-million-digit integer
+        ('{"kind": "interval", "items": [{"id": 1, "a": "1e10000000", "b": 2}]}',
+         "$.items[0].a"),
+        ('{"kind": "interval", "items": [{"id": 1, "a": 0, "b": 2}],'
+         ' "weights": ["2E3"]}', "$.weights[0]"),
     ]
     for text, path in cases:
         with pytest.raises(SchemaError) as info:
