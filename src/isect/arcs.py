@@ -316,32 +316,18 @@ def _cut_distance_matrix(m: ArcModel, cut: int) -> list[list[int]]:
     # distances of the straightened model: an upper bound on the arc
     # graph distances, because straightening only removes adjacencies
     strict, order = normalize(IntervalModel.build(_straighten(m, cut)))
-    ig = build_interval_graph(strict)
-    if ig.is_connected():
+    try:
         return _relabel(apsp_interval(strict), order)
-    far = m.n + 1
-    return _relabel([[far if x is None else x for x in row] for row in bfs_apsp(ig)],
-                    order)
-
-
-def _distance_violations(g: Graph, dist: list[list[int]]) -> bool:
-    # an entrywise upper bound on the true distances is exact as soon as
-    # every entry is locally consistent: d(u, v) <= 1 + min over
-    # neighbors w of v of d(u, w)
-    n = g.n
-    for u in range(n):
-        row = dist[u]
-        for v in range(1, n + 1):
-            if v - 1 == u:
-                continue
-            if row[v - 1] > 1 + min(row[w - 1] for w in g.adj[v]):
-                return True
-    return False
+    except DisconnectedGraph:
+        far = m.n + 1
+        dist = bfs_apsp(build_interval_graph(strict))
+        return _relabel([[far if x is None else x for x in row] for row in dist], order)
 
 
 def _relax_to_fixpoint(g: Graph, dist: list[list[int]]) -> None:
-    # monotone relaxation keeps every entry an upper bound and stops at
-    # the locally consistent matrix, which equals the true distances
+    # an entrywise upper bound on the distances is exact once every entry
+    # is locally consistent, d(u, v) <= 1 + min over neighbors w of v of
+    # d(u, w); monotone relaxation keeps each entry a bound and stops there
     n = g.n
     changed = True
     while changed:
@@ -363,10 +349,9 @@ def apsp_circular_arc(m: ArcModel) -> list[list[int]]:
     A model missing a gap is an interval model in disguise and is solved
     there exactly.  Otherwise the model is cut just past two tails on
     roughly opposite sides; each cut yields straightened distances that
-    bound the truth from above, and their entrywise minimum is checked
-    for local consistency.  While any entry is inconsistent, further
-    tail cuts are folded in, and any remaining slack is relaxed away on
-    the graph itself, so the result is always exact.
+    bound the truth from above.  Their entrywise minimum is relaxed on
+    the graph itself until every entry is locally consistent, which
+    makes the result exact.
     """
     if m.n == 0:
         raise EmptyGraph("no distances in an empty model")
@@ -388,19 +373,13 @@ def apsp_circular_arc(m: ArcModel) -> list[list[int]]:
         for v in g.adj[u]:
             dist[u - 1][v - 1] = 1
     tails = [t for _, t in m.spans]
-    used: set[int] = set()
-    for cut in [tails[-1], tails[(n + 1) // 2 - 1]] + tails:
-        if cut in used:
-            continue
-        used.add(cut)
+    # the two tails are distinct endpoints, because n >= 2 here
+    for cut in (tails[-1], tails[(n + 1) // 2 - 1]):
         folded = _cut_distance_matrix(m, cut)
         for row, frow in zip(dist, folded):
             for v in range(n):
                 if frow[v] < row[v]:
                     row[v] = frow[v]
-        # the first two cuts are always folded before the first check
-        if len(used) >= 2 and not _distance_violations(g, dist):
-            break
     _relax_to_fixpoint(g, dist)
     return dist
 

@@ -73,38 +73,32 @@ def _validated(g: Graph, o: Ordering) -> tuple[int, ...]:
     return o.seq
 
 
+def _head_ok(g: Graph, kind: str, suffix: Sequence[int]) -> bool:
+    # the kind's condition on the head suffix[0], read in the subgraph
+    # the suffix induces; members keep their order along the suffix
+    vi = suffix[0]
+    members = [w for w in suffix if w == vi or w in g.adj[vi]]
+    if kind == PERFECT:
+        return all(g.has_edge(a, b)
+                   for a, b in itertools.combinations(members[1:], 2))
+    sset = set(suffix)
+
+    def closed(v: int) -> set[int]:
+        return {v} | (g.adj[v] & sset)
+
+    if kind == STRONG:
+        return all(closed(vj) <= closed(vk)
+                   for vj, vk in itertools.combinations(members, 2))
+    if kind == MAX_NEIGHBOURHOOD:
+        hoods = {w: closed(w) for w in members}
+        return any(all(hoods[w] <= hoods[u] for w in members) for u in members)
+    raise BadParams(f"unknown ordering kind {kind!r}")
+
+
 def check_ordering(g: Graph, o: Ordering) -> bool:
     """Evaluate the ordering's defining condition on every suffix."""
     seq = _validated(g, o)
-    n = g.n
-    for i in range(n):
-        vi = seq[i]
-        suffix = seq[i:]
-        sset = set(suffix)
-
-        def closed(v: int) -> set[int]:
-            return {v} | (g.adj[v] & sset)
-
-        if o.kind == PERFECT:
-            nbrs = [w for w in suffix[1:] if w in g.adj[vi]]
-            for a, b in itertools.combinations(nbrs, 2):
-                if not g.has_edge(a, b):
-                    return False
-        elif o.kind == STRONG:
-            # members appear in ordering position order along the suffix
-            members = [w for w in suffix if w == vi or w in g.adj[vi]]
-            for vj, vk in itertools.combinations(members, 2):
-                if not closed(vj) <= closed(vk):
-                    return False
-        elif o.kind == MAX_NEIGHBOURHOOD:
-            members = [w for w in suffix if w == vi or w in g.adj[vi]]
-            hoods = {w: closed(w) for w in members}
-            if not any(all(hoods[w] <= hoods[u] for w in members)
-                       for u in members):
-                return False
-        else:
-            raise BadParams(f"unknown ordering kind {o.kind!r}")
-    return True
+    return all(_head_ok(g, o.kind, seq[i:]) for i in range(g.n))
 
 
 def is_chordal(g: Graph) -> bool:
@@ -123,30 +117,13 @@ def find_ordering(g: Graph, kind: str, *, max_n: int = 8) -> Optional[Ordering]:
         raise BadParams(f"unknown ordering kind {kind!r}")
     if g.n > max_n:
         raise InstanceTooLarge(f"ordering search capped at n={max_n}, got n={g.n}")
-    n = g.n
-
-    def head_ok(vi: int, suffix: tuple[int, ...]) -> bool:
-        sset = set(suffix)
-
-        def closed(v: int) -> set[int]:
-            return {v} | (g.adj[v] & sset)
-
-        members = [w for w in suffix if w == vi or w in g.adj[vi]]
-        if kind == PERFECT:
-            return all(g.has_edge(a, b)
-                       for a, b in itertools.combinations(members[1:], 2))
-        if kind == STRONG:
-            return all(closed(vj) <= closed(vk)
-                       for vj, vk in itertools.combinations(members, 2))
-        hoods = {w: closed(w) for w in members}
-        return any(all(hoods[w] <= hoods[u] for w in members) for u in members)
 
     def grow(suffix: tuple[int, ...], left: frozenset[int]) -> Optional[tuple[int, ...]]:
         if not left:
             return suffix
         for v in sorted(left):
             cand = (v,) + suffix
-            if head_ok(v, cand):
+            if _head_ok(g, kind, cand):
                 full = grow(cand, left - {v})
                 if full is not None:
                     return full

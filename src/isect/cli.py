@@ -347,6 +347,13 @@ def _cmd_gen(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    def count(text: str) -> int:
+        # argparse names this function in its "invalid count value" message
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        return value
+
     parser = argparse.ArgumentParser(
         prog="isect",
         description="Geometric intersection graphs: build, solve, verify.")
@@ -369,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run an invariant suite on random models")
     p.add_argument("suite", choices=sorted(_SUITES))
     p.add_argument("--kind", default=None, help="model kind, suite default if absent")
-    p.add_argument("--count", type=int, default=100, help="instances to draw")
+    p.add_argument("--count", type=count, default=100, help="instances to draw")
     p.add_argument("--seed", type=int, default=1)
 
     p = sub.add_parser("gen", help="emit a seeded random model file")

@@ -48,7 +48,10 @@ def _normalize_edge(u: int, v: int, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected graph on vertices 1..n."""
+    """Immutable undirected graph on vertices 1..n.
+
+    ``Graph.build`` is the validated entry point; it checks every edge.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
@@ -71,11 +74,6 @@ class Graph:
                     raise MalformedModel(f"negative weight {wf} at vertex {v}")
                 wmap[v] = wf
         return Graph(n, normalized, wmap)
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise MalformedModel(f"edge ({u}, {v}) is not normalized for n={self.n}")
 
     @cached_property
     def adj(self) -> dict[int, frozenset[int]]:

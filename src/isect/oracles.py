@@ -68,12 +68,9 @@ def _is_clique(g: Graph, vs) -> bool:
     return all(g.adj_bits[v] & mask == mask ^ (1 << (v - 1)) for v in vs)
 
 
-def _mask_connected(g: Graph, mask: int) -> bool:
-    if mask == 0:
-        return True
-    start = (mask & -mask).bit_length()
-    seen = 1 << (start - 1)
-    frontier = seen
+def _reach(g: Graph, start_bits: int, mask: int) -> int:
+    """start_bits plus every vertex of mask that a path inside mask joins to it."""
+    seen = frontier = start_bits
     while frontier:
         nxt = 0
         f = frontier
@@ -81,10 +78,27 @@ def _mask_connected(g: Graph, mask: int) -> bool:
             low = f & -f
             nxt |= g.adj_bits[low.bit_length()]
             f ^= low
-        nxt &= mask & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == mask
+        frontier = nxt & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def _mask_connected(g: Graph, mask: int) -> bool:
+    return mask == 0 or _reach(g, mask & -mask, mask) == mask
+
+
+def _balls(g: Graph, k: int) -> dict[int, int]:
+    """Bit v-1 of entry z is set iff v lies within distance k of z."""
+    dist = bfs_apsp(g)
+    cover = {}
+    for z in g.vertices():
+        mask = 0
+        for v in g.vertices():
+            d = dist[z - 1][v - 1]
+            if d is not None and d <= k:
+                mask |= 1 << (v - 1)
+        cover[z] = mask
+    return cover
 
 
 def _solve_mis(g: Graph) -> tuple[object, object]:
@@ -215,15 +229,7 @@ def _solve_k_dominating(g: Graph, k: int) -> tuple[object, object]:
         raise BadParams(f"domination radius must be >= 1, got {k}")
     if g.n == 0:
         return 0, ()
-    dist = bfs_apsp(g)
-    cover = {}
-    for z in g.vertices():
-        mask = 0
-        for v in g.vertices():
-            d = dist[z - 1][v - 1]
-            if d is not None and d <= k:
-                mask |= 1 << (v - 1)
-        cover[z] = mask
+    cover = _balls(g, k)
     combo = _min_cover((1 << g.n) - 1, cover, list(g.vertices()))
     return len(combo), combo
 
@@ -233,15 +239,7 @@ def _solve_distance_k_dominating(g: Graph, k: int) -> tuple[object, object]:
         raise BadParams(f"domination radius must be >= 1, got {k}")
     if g.n == 0:
         return 0, ()
-    dist = bfs_apsp(g)
-    cover = {}
-    for z in g.vertices():
-        mask = 0
-        for v in g.vertices():
-            d = dist[z - 1][v - 1]
-            if d is not None and d <= k:
-                mask |= 1 << (v - 1)
-        cover[z] = mask
+    cover = _balls(g, k)
     everything = (1 << g.n) - 1
     for size in range(0, g.n + 1):
         for combo in combinations(g.vertices(), size):
@@ -257,15 +255,7 @@ def _solve_distance_k_dominating(g: Graph, k: int) -> tuple[object, object]:
 def _solve_total_k_dominating(g: Graph, k: int) -> tuple[object, object]:
     if k < 1:
         raise BadParams(f"domination radius must be >= 1, got {k}")
-    dist = bfs_apsp(g)
-    cover = {}
-    for z in g.vertices():
-        mask = 0
-        for v in g.vertices():
-            d = dist[z - 1][v - 1]
-            if d is not None and d <= k:
-                mask |= 1 << (v - 1)
-        cover[z] = mask
+    cover = _balls(g, k)
     everything = (1 << g.n) - 1
     for size in range(2, g.n + 1):
         for combo in combinations(g.vertices(), size):
@@ -330,18 +320,7 @@ def _acyclic_within(g: Graph, mask: int) -> bool:
         if seen & bit:
             continue
         comps += 1
-        frontier = bit
-        seen |= bit
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= g.adj_bits[low.bit_length()]
-                f ^= low
-            nxt &= mask & ~seen
-            seen |= nxt
-            frontier = nxt
+        seen |= _reach(g, bit, mask)
     return edge_count == len(vs) - comps
 
 
@@ -491,20 +470,7 @@ def is_at_free(g: Graph, *, max_n: int = DEFAULT_ORACLE_BOUND) -> bool:
         banned = g.adj_bits[z] | (1 << (z - 1))
         if banned >> (x - 1) & 1 or banned >> (y - 1) & 1:
             return False
-        mask = everything & ~banned
-        seen = 1 << (x - 1)
-        frontier = seen
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= g.adj_bits[low.bit_length()]
-                f ^= low
-            nxt &= mask & ~seen
-            seen |= nxt
-            frontier = nxt
-        return bool(seen >> (y - 1) & 1)
+        return bool(_reach(g, 1 << (x - 1), everything & ~banned) >> (y - 1) & 1)
 
     for x, y, z in combinations(g.vertices(), 3):
         if g.has_edge(x, y) or g.has_edge(y, z) or g.has_edge(x, z):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from isect.graph import Graph
+from isect.rng import SplitMix64
 
 
 def path_graph(n: int) -> Graph:
@@ -25,3 +26,11 @@ def star_graph(leaves: int) -> Graph:
 
 def empty_graph(n: int) -> Graph:
     return Graph.build(n, [])
+
+
+def random_graph(rng: SplitMix64, n: int, p_num: int = 1, p_den: int = 2) -> Graph:
+    edges = [(i, j)
+             for i in range(1, n + 1)
+             for j in range(i + 1, n + 1)
+             if rng.below(p_den) < p_num]
+    return Graph.build(n, edges)

@@ -6,6 +6,7 @@ from isect.arcs import (
     ArcModel,
     CIParams,
     _ci_raw,
+    _cut_distance_matrix,
     apsp_circular_arc,
     arc_contains_point,
     arcs_intersect,
@@ -354,6 +355,25 @@ def test_apsp_matches_bfs_small():
 def test_apsp_matches_bfs_larger():
     for m in connected_arc_models(953, 10, 20, 40):
         assert apsp_circular_arc(m) == bfs_apsp(build_circular_arc_graph(m))
+
+
+def test_apsp_relaxes_away_the_slack_two_cuts_leave():
+    # straightened distances only bound the truth from above, so the two
+    # folded cuts can leave slack that relaxation on the graph must remove
+    slack = 0
+    for m in connected_arc_models(961, 80, 3, 32):
+        g = build_circular_arc_graph(m)
+        truth = bfs_apsp(g)
+        assert apsp_circular_arc(m) == truth
+        if not m.covers_circle:
+            continue
+        tails = [t for _, t in m.spans]
+        a, b = (_cut_distance_matrix(m, cut)
+                for cut in (tails[-1], tails[(m.n + 1) // 2 - 1]))
+        folded = [[min(a[u][v], b[u][v], 1 if g.has_edge(u + 1, v + 1) else m.n)
+                   for v in range(m.n)] for u in range(m.n)]
+        slack += folded != truth
+    assert slack > 0
 
 
 def test_apsp_on_raw_model():

@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 
+from helpers import random_graph
 from isect.chordal import (
+    KINDS,
     MAX_NEIGHBOURHOOD,
     PERFECT,
     STRONG,
@@ -32,14 +34,6 @@ C5 = Graph.build(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
 BOWTIE_EDGE = Graph.build(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
 SUN3 = Graph.build(6, [(1, 2), (2, 3), (1, 3),
                        (4, 1), (4, 2), (5, 2), (5, 3), (6, 3), (6, 1)])
-
-
-def random_graph(rng: SplitMix64, n: int, p_num: int = 1, p_den: int = 2) -> Graph:
-    edges = [(i, j)
-             for i in range(1, n + 1)
-             for j in range(i + 1, n + 1)
-             if rng.below(p_den) < p_num]
-    return Graph.build(n, edges)
 
 
 def random_tree(rng: SplitMix64, n: int) -> Graph:
@@ -247,3 +241,17 @@ def test_ordering_search_fixtures():
     # chordal yet strong elimination is impossible on the three-sun
     assert is_chordal(SUN3)
     assert find_ordering(SUN3, STRONG, max_n=6) is None
+
+
+def test_found_orderings_agree_with_the_check():
+    # find_ordering returns None exactly when no permutation passes the check
+    rng = SplitMix64(0x0DE5)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 6))
+        for kind in KINDS:
+            found = find_ordering(g, kind)
+            if found is not None:
+                assert found.kind == kind and check_ordering(g, found)
+            any_passes = any(check_ordering(g, Ordering(seq, kind))
+                             for seq in itertools.permutations(g.vertices()))
+            assert any_passes == (found is not None), (sorted(g.edges), kind)

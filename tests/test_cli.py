@@ -119,6 +119,14 @@ def test_check_suites_pass(suite, capsys):
     assert out.startswith(f"ok {suite}")
 
 
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+def test_check_rejects_negative_count_as_usage_error(suite, capsys):
+    rc, out, err = run(capsys, "check", suite, "--count", "-3")
+    assert rc == 2 and out == "" and "--count" in err
+    rc, out, _ = run(capsys, "check", suite, "--count", "0")
+    assert rc == 0 and out == f"ok {suite}: checked 0 instances\n"
+
+
 def test_check_rejects_wrong_kind(capsys):
     rc, _, err = run(capsys, "check", "umbrella", "--kind", "arcs")
     assert rc == 1

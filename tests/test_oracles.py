@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import complete_graph, cycle_graph, empty_graph, path_graph, star_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 from isect.errors import (
     BadParams,
     InfeasibleProblem,
@@ -23,6 +30,7 @@ from isect.oracles import (
     maximal_cliques_bruteforce,
     maximal_independent_sets,
 )
+from isect.rng import SplitMix64
 
 
 def test_mis_cycle5():
@@ -138,6 +146,38 @@ def test_feedback_vertex_set():
     assert brute_solve(cycle_graph(4), "feedback_vertex_set").witness == (1,)
     assert brute_solve(path_graph(5), "feedback_vertex_set").value == 0
     assert brute_solve(complete_graph(4), "feedback_vertex_set").value == 2
+
+
+def _is_forest(g: Graph) -> bool:
+    return len(g.edges) == g.n - len(g.components())
+
+
+def test_feedback_vertex_set_witness_is_minimal_and_leaves_a_forest():
+    rng = SplitMix64(0xF05)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 8))
+        sol = brute_solve(g, "feedback_vertex_set")
+        assert sol.value == len(sol.witness)
+        rest = set(g.vertices()) - set(sol.witness)
+        assert _is_forest(g.induced(rest)[0]), sorted(g.edges)
+        for w in sol.witness:
+            assert not _is_forest(g.induced(rest | {w})[0]), sorted(g.edges)
+
+
+def test_steiner_witness_is_minimal_and_connects_the_targets():
+    rng = SplitMix64(0x57E)
+    checked = 0
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(1, 8), 2, 5)
+        comp = max(g.components(), key=len)
+        targets = tuple(v for v in sorted(comp) if rng.coin())[:3] or (min(comp),)
+        sol = brute_solve(g, "steiner_set", targets=targets)
+        keep = set(targets) | set(sol.witness)
+        assert len(g.induced(keep)[0].components()) == 1, (sorted(g.edges), targets)
+        for w in sol.witness:
+            assert len(g.induced(keep - {w})[0].components()) > 1
+        checked += len(sol.witness) > 0
+    assert checked > 0
 
 
 def test_next_to_shortest_diamond():
