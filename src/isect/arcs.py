@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import (
     BadParams,
     DisconnectedGraph,
@@ -27,16 +29,8 @@ from .errors import (
     MalformedModel,
     SharedEndpoint,
 )
-from .graph import Graph, bfs_apsp, coerce_weights
-from .intervals import (
-    IntervalModel,
-    Weights,
-    apsp_interval,
-    build_interval_graph,
-    mwis_interval,
-    normalize,
-    rank_pairs,
-)
+from .graph import Graph, coerce_weights
+from .intervals import IntervalModel, Weights, mwis_interval, rank_pairs
 
 ArcPair = tuple[Fraction, Fraction]
 Span = tuple[int, int]
@@ -99,15 +93,25 @@ class ArcModel:
         return self.n > 0 and _uncovered_gap(self.spans) is None
 
 
-def _uncovered_gap(spans: Sequence[Span]) -> Optional[int]:
-    # the rank p of the first endpoint whose following gap no arc covers;
-    # gaps hold no endpoints, so an arc covers the gap after p exactly when
-    # its walk from head to tail crosses a seam placed inside that gap
+def _reach_table(spans: Sequence[Span]) -> np.ndarray:
+    # cw[p] for p in 0..4n over the doubled circle: the farthest unrolled
+    # tail among the arcs covering the gap just past p, or 0 when none
+    # does; arc copies one turn back and on are laid at heads 0 and +2n
     two_n = 2 * len(spans)
-    for p in range(1, two_n + 1):
-        if not any((h - p - 1) % two_n > (t - p - 1) % two_n for h, t in spans):
-            return p
-    return None
+    heads, tails = np.array(spans).T
+    ends = np.where(tails > heads, tails, tails + two_n)
+    far = np.zeros(2 * two_n + 1, dtype=np.int64)
+    far[0] = max(ends.max() - two_n, 0)
+    far[heads] = ends
+    far[heads + two_n] = ends + two_n
+    far = np.maximum.accumulate(far)
+    return np.where(far > np.arange(2 * two_n + 1), far, 0)
+
+
+def _uncovered_gap(spans: Sequence[Span]) -> Optional[int]:
+    # the rank p of the first endpoint whose following gap no arc covers
+    open_at = np.flatnonzero(_reach_table(spans)[1:2 * len(spans) + 1] == 0)
+    return int(open_at[0]) + 1 if open_at.size else None
 
 
 def _inside(arc: tuple, p: object) -> bool:
@@ -303,85 +307,52 @@ def mwis_circular_arc(m: ArcModel, weights: Weights = None) -> tuple[int, ...]:
     return best[1]
 
 
-def _relabel(d: Sequence[Sequence[int]], order: Sequence[int]) -> list[list[int]]:
-    # entry (x, y) of d is the distance between the vertices order[x] and
-    # order[y]; the result is indexed by those vertices instead
-    pos = [0] * len(order)
-    for x, v in enumerate(order):
-        pos[v - 1] = x
-    return [[row[y] for y in pos] for row in (d[x] for x in pos)]
-
-
-def _cut_distance_matrix(m: ArcModel, cut: int) -> list[list[int]]:
-    # distances of the straightened model: an upper bound on the arc
-    # graph distances, because straightening only removes adjacencies
-    strict, order = normalize(IntervalModel.build(_straighten(m, cut)))
-    try:
-        return _relabel(apsp_interval(strict), order)
-    except DisconnectedGraph:
-        far = m.n + 1
-        dist = bfs_apsp(build_interval_graph(strict))
-        return _relabel([[far if x is None else x for x in row] for row in dist], order)
-
-
-def _relax_to_fixpoint(g: Graph, dist: list[list[int]]) -> None:
-    # an entrywise upper bound on the distances is exact once every entry
-    # is locally consistent, d(u, v) <= 1 + min over neighbors w of v of
-    # d(u, w); monotone relaxation keeps each entry a bound and stops there
-    n = g.n
-    changed = True
-    while changed:
-        changed = False
-        for u in range(n):
-            row = dist[u]
-            for v in range(1, n + 1):
-                if v - 1 == u:
-                    continue
-                cand = 1 + min(row[w - 1] for w in g.adj[v])
-                if cand < row[v - 1]:
-                    row[v - 1] = cand
-                    changed = True
+def _hops(spans: Sequence[Span]) -> np.ndarray:
+    # entry (s, v): 0 on the diagonal, 1 when v meets s, else 1 + the first
+    # hop at which the clockwise end of the reach around s reaches the head
+    # of v, or n + 1 when that end stops short of it
+    n, two_n = len(spans), 2 * len(spans)
+    cw = _reach_table(spans).tolist()
+    heads, tails = np.array(spans).T
+    # the endpoints of each v measured clockwise from the head of each s
+    rel_h = (heads - heads[:, None]) % two_n
+    rel_t = (tails - heads[:, None]) % two_n
+    span_len = rel_t.diagonal()
+    gap = (rel_h > span_len[:, None]) & (rel_t > rel_h)
+    out = np.where(gap, n + 1, 1)
+    np.fill_diagonal(out, 0)
+    for s, h in enumerate(heads.tolist()):
+        # unrolled from h, the clockwise ends of the reach after 0, 1, 2, ...
+        # hops; once past h + 2n it has swept the whole gap
+        chain = [h + int(span_len[s])]
+        while chain[-1] < h + two_n and cw[chain[-1]] > chain[-1]:
+            chain.append(cw[chain[-1]])
+        k = np.searchsorted(chain, h + rel_h[s, gap[s]])
+        out[s, gap[s]] = np.where(k < len(chain), k + 1, n + 1)
+    return out
 
 
 def apsp_circular_arc(m: ArcModel) -> list[list[int]]:
     """All-pairs distances of a connected arc intersection graph.
 
-    A model missing a gap is an interval model in disguise and is solved
-    there exactly.  Otherwise the model is cut just past two tails on
-    roughly opposite sides; each cut yields straightened distances that
-    bound the truth from above.  Their entrywise minimum is relaxed on
-    the graph itself until every entry is locally consistent, which
-    makes the result exact.
+    Reach chains on the ranked endpoints: the arcs within k hops of arc
+    s cover one circular interval, and a hop moves its clockwise end to
+    the farthest tail among the arcs covering just past it, and its
+    counter-clockwise end likewise by heads; a table over the doubled
+    circle makes each hop O(1).  An arc v missing s lies in the gap past
+    s, so d(s, v) is 1 plus the first hop at which either end passes
+    the near endpoint of v, found by binary search: O(n² log n) time.
+    Raises EmptyGraph for no arcs, DisconnectedGraph when some arc is
+    never reached.
     """
     if m.n == 0:
         raise EmptyGraph("no distances in an empty model")
-    if not m.canonical:
-        canon, order = canonicalize(m)
-        return _relabel(apsp_circular_arc(canon), order)
-    g = build_circular_arc_graph(m)
-    if not g.is_connected():
+    # the counter-clockwise chains are the clockwise ones of the mirror
+    mirror = [(2 * m.n + 1 - t, 2 * m.n + 1 - h) for h, t in m.spans]
+    dist = np.minimum(_hops(m.spans), _hops(mirror))
+    if (dist > m.n).any():
         raise DisconnectedGraph("distances need a connected model")
-    n = m.n
-    if n == 1:
-        return [[0]]
-    if not m.covers_circle:
-        strict, order = normalize(straighten_at_gap(m))
-        return _relabel(apsp_interval(strict), order)
-    dist = [[n + 1] * n for _ in range(n)]
-    for u in range(1, n + 1):
-        dist[u - 1][u - 1] = 0
-        for v in g.adj[u]:
-            dist[u - 1][v - 1] = 1
-    tails = [t for _, t in m.spans]
-    # the two tails are distinct endpoints, because n >= 2 here
-    for cut in (tails[-1], tails[(n + 1) // 2 - 1]):
-        folded = _cut_distance_matrix(m, cut)
-        for row, frow in zip(dist, folded):
-            for v in range(n):
-                if frow[v] < row[v]:
-                    row[v] = frow[v]
-    _relax_to_fixpoint(g, dist)
-    return dist
+    return dist.tolist()
 
 
 def is_proper(m: ArcModel) -> bool:

@@ -328,7 +328,7 @@ def is_tree_t_spanner(g: Graph, h: Graph, t) -> bool:
     t may be an int or Fraction.  Raises NotSubgraph when h has an edge
     g lacks, DisconnectedGraph when g itself is not connected.
     """
-    stretch = Fraction(t)
+    num, den = Fraction(t).as_integer_ratio()
     if h.n != g.n:
         raise NotSubgraph(f"spanning subgraph must keep n={g.n}, got {h.n}")
     for e in h.edges:
@@ -342,6 +342,6 @@ def is_tree_t_spanner(g: Graph, h: Graph, t) -> bool:
     dh = bfs_apsp(h)
     for i in range(g.n):
         for j in range(i + 1, g.n):
-            if dh[i][j] > stretch * dg[i][j]:  # type: ignore[operator]
+            if dh[i][j] * den > num * dg[i][j]:  # type: ignore[operator]
                 return False
     return True

@@ -6,7 +6,8 @@ from isect.arcs import (
     ArcModel,
     CIParams,
     _ci_raw,
-    _cut_distance_matrix,
+    _inside,
+    _uncovered_gap,
     apsp_circular_arc,
     arc_contains_point,
     arcs_intersect,
@@ -125,6 +126,23 @@ def test_intervals_reencode_as_arcs():
         am = ArcModel.build(pairs)
         assert not am.covers_circle
         assert build_interval_graph(im).edges == build_circular_arc_graph(am).edges
+
+
+def test_uncovered_gap_matches_midpoint_scan_property():
+    # the gap after rank p holds the midpoint p + 1/2, and beyond 2n it is
+    # the wrap, so the gap is covered exactly when an arc holds that point
+    rng = SplitMix64(977)
+    gaps = 0
+    for _ in range(200):
+        n = rng.randint(1, 16)
+        pool = list(range(1, 2 * n + 1))
+        rng.shuffle(pool)
+        spans = [(pool[2 * k], pool[2 * k + 1]) for k in range(n)]
+        want = next((p for p in range(1, 2 * n + 1)
+                     if not any(_inside(a, p + Fraction(1, 2)) for a in spans)), None)
+        assert _uncovered_gap(spans) == want
+        gaps += want is not None
+    assert 20 <= gaps <= 180
 
 
 # -- canonical form ----------------------------------------------------------
@@ -357,23 +375,51 @@ def test_apsp_matches_bfs_larger():
         assert apsp_circular_arc(m) == bfs_apsp(build_circular_arc_graph(m))
 
 
-def test_apsp_relaxes_away_the_slack_two_cuts_leave():
-    # straightened distances only bound the truth from above, so the two
-    # folded cuts can leave slack that relaxation on the graph must remove
-    slack = 0
+def test_apsp_matches_bfs_seed_961():
     for m in connected_arc_models(961, 80, 3, 32):
-        g = build_circular_arc_graph(m)
-        truth = bfs_apsp(g)
-        assert apsp_circular_arc(m) == truth
-        if not m.covers_circle:
+        assert apsp_circular_arc(m) == bfs_apsp(build_circular_arc_graph(m))
+
+
+def test_apsp_matches_bfs_on_raw_models():
+    # raw models keep their input order and endpoints, so heads neither
+    # start at 1 nor increase; a third are short arcs on a circle of
+    # length 4n, which leave most of those models disconnected
+    rng = SplitMix64(971)
+    connected = disconnected = canonical = 0
+    for trial in range(300):
+        n = rng.randint(1, 24)
+        if trial % 3 == 0:
+            pool = list(range(1, 2 * n + 1))
+            rng.shuffle(pool)
+            raw = [(pool[2 * k], pool[2 * k + 1]) for k in range(n)]
+        elif trial % 3 == 1:
+            raw = random_rational_arcs(rng, n)
+        else:
+            heads = [Fraction(rng.randint(0, 40 * n), 10) for _ in range(n)]
+            raw = [(h, (h + Fraction(rng.randint(1, 25), 10)) % (4 * n)) for h in heads]
+            if len({x for arc in raw for x in arc}) < 2 * n:
+                continue
+        if not raw:
             continue
-        tails = [t for _, t in m.spans]
-        a, b = (_cut_distance_matrix(m, cut)
-                for cut in (tails[-1], tails[(m.n + 1) // 2 - 1]))
-        folded = [[min(a[u][v], b[u][v], 1 if g.has_edge(u + 1, v + 1) else m.n)
-                   for v in range(m.n)] for u in range(m.n)]
-        slack += folded != truth
-    assert slack > 0
+        m = ArcModel.build(raw)
+        canonical += m.canonical
+        g = build_circular_arc_graph(m)
+        if g.is_connected():
+            connected += 1
+            assert apsp_circular_arc(m) == bfs_apsp(g)
+        else:
+            disconnected += 1
+            with pytest.raises(DisconnectedGraph):
+                apsp_circular_arc(m)
+    assert connected >= 100 and disconnected >= 40 and canonical <= 10
+
+
+def test_apsp_when_one_arc_wraps_the_whole_gap():
+    # arc 2 meets arc 1 and runs on past its far end round to 2, so the
+    # first hop from arc 1 sweeps the whole gap at once
+    m = ArcModel.build([(1, 4), (3, 2), (5, 6), (7, 8)])
+    want = [[0, 1, 2, 2], [1, 0, 1, 1], [2, 1, 0, 2], [2, 1, 2, 0]]
+    assert apsp_circular_arc(m) == want == bfs_apsp(build_circular_arc_graph(m))
 
 
 def test_apsp_on_raw_model():

@@ -178,3 +178,11 @@ def test_tree_spanner_rejects_non_tree():
 def test_tree_spanner_accepts_fraction_stretch():
     star = star_graph(3)
     assert is_tree_t_spanner(star, star, Fraction(3, 2))
+
+
+def test_tree_spanner_stretch_bound_is_exact():
+    # the path tree of C4 stretches the edge (1, 4) to exactly 3
+    c4, tree = cycle_graph(4), path_graph(4)
+    big = 10 ** 30
+    assert is_tree_t_spanner(c4, tree, Fraction(3 * big, big))
+    assert not is_tree_t_spanner(c4, tree, Fraction(3 * big - 1, big))
