@@ -29,7 +29,7 @@ from .errors import (
     MalformedModel,
     SharedEndpoint,
 )
-from .graph import Graph, coerce_weights
+from .graph import Graph, coerce_weights, pairs_graph
 from .intervals import IntervalModel, Weights, mwis_interval, rank_pairs
 
 ArcPair = tuple[Fraction, Fraction]
@@ -144,14 +144,20 @@ def arcs_intersect(a: tuple[object, object], b: tuple[object, object]) -> bool:
 
 
 def build_circular_arc_graph(m: ArcModel) -> Graph:
-    """Intersection graph of the arcs, vertex r for arc r."""
-    n = m.n
-    spans = m.spans
-    edges = [(i, j)
-             for i in range(1, n + 1)
-             for j in range(i + 1, n + 1)
-             if _meet(spans[i - 1], spans[j - 1])]
-    return Graph.build(n, edges)
+    """Intersection graph of the arcs, vertex r for arc r.
+
+    With all endpoints distinct, two arcs meet exactly when one holds the
+    other's head: walking back from a shared point, the first head reached
+    lies inside the other arc.
+    """
+    h, t = np.array(m.spans, dtype=np.int64).reshape(-1, 2).T
+
+    def holds(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+        # the head of arc P strictly inside arc X, as in _inside
+        hx, tx, p = h[X], t[X], h[P]
+        return ((hx < p) & (p < tx)) | ((tx < hx) & ((hx < p) | (p < tx)))
+
+    return pairs_graph(m.n, lambda I, J: holds(I, J) | holds(J, I))
 
 
 def canonicalize(

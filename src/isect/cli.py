@@ -91,8 +91,7 @@ def _read_model(path: str) -> ModelFile:
 
 def _cmd_build(args) -> int:
     g = _graph_of(_read_model(args.model))
-    for u, v in g.sorted_edges():
-        print(u, v)
+    sys.stdout.write("".join(f"{u} {v}\n" for u, v in g.sorted_edges()))
     return 0
 
 

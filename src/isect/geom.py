@@ -4,6 +4,8 @@ chords of a circle, disk points, boxes, and the line-graph operator.
 Arithmetic is exact throughout: progressions meet via modular reasoning,
 disk adjacency compares squared rational distances, and infinite
 tolerance is the symbolic math.inf, never a large stand-in number.
+The disk and tolerance builders compare the rationals times their common
+denominator, as Python integers in object arrays: no float, no overflow.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     BadParams,
     DimensionMismatch,
@@ -21,7 +25,8 @@ from .errors import (
     SharedEndpoint,
     SizeBudgetExceeded,
 )
-from .graph import Graph
+from .graph import Graph, pairs_graph
+from .intervals import rank_pairs
 
 INFINITE_TOLERANCE = math.inf
 
@@ -31,6 +36,12 @@ def _frac(x: object, what: str) -> Fraction:
         return Fraction(x)  # type: ignore[arg-type]
     except (TypeError, ValueError) as exc:
         raise MalformedModel(f"{what} is not rational: {x!r}") from exc
+
+
+def _integers(xs: Sequence[Fraction]) -> np.ndarray:
+    # the rationals times their common denominator, as exact Python integers
+    den = math.lcm(*(x.denominator for x in xs))
+    return np.array([x.numerator * (den // x.denominator) for x in xs], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -136,20 +147,22 @@ def build_tolerance_graph(rep: ToleranceRep) -> Graph:
     """Edge iff the overlap length reaches the smaller tolerance.
 
     Length is measure, not point count, so touching intervals overlap
-    with length zero and point intervals are always isolated.
+    with length zero and point intervals are always isolated; disjoint
+    ones overlap by a negative length.  An infinite tolerance becomes one
+    more than the widest overlap any pair can have, so none reaches it.
     """
-    n = rep.n
-    edges = []
-    for i in range(1, n + 1):
-        lo_i, hi_i = rep.intervals[i - 1]
-        for j in range(i + 1, n + 1):
-            lo_j, hi_j = rep.intervals[j - 1]
-            lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
-            if lo > hi:
-                continue
-            if hi - lo >= min(rep.tolerances[i - 1], rep.tolerances[j - 1]):
-                edges.append((i, j))
-    return Graph.build(n, edges)
+    finite = np.array([t != INFINITE_TOLERANCE for t in rep.tolerances], dtype=bool)
+    vals = _integers([x for iv in rep.intervals for x in iv]
+                     + [t for t, f in zip(rep.tolerances, finite) if f])
+    lo, hi = vals[:2 * rep.n].reshape(-1, 2).T
+    tol = np.full(rep.n, max(hi, default=0) - min(lo, default=0) + 1, dtype=object)
+    tol[finite] = vals[2 * rep.n:]
+
+    def tolerated(I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        overlap = np.minimum(hi[I], hi[J]) - np.maximum(lo[I], lo[J])
+        return overlap >= np.minimum(tol[I], tol[J])
+
+    return pairs_graph(rep.n, tolerated)
 
 
 def classify_tolerance_rep(rep: ToleranceRep) -> dict[str, bool]:
@@ -200,12 +213,15 @@ def chords_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 
 def build_circle_graph(m: ChordModel) -> Graph:
-    n = m.n
-    edges = [(i, j)
-             for i in range(1, n + 1)
-             for j in range(i + 1, n + 1)
-             if chords_cross(m.chords[i - 1], m.chords[j - 1])]
-    return Graph.build(n, edges)
+    """Edge iff the chords cross: one end of chord j lies between the ends
+    of chord i and the other does not.  Positions are ranked first, since
+    only their order matters and the model allows any integers."""
+    x, y = np.array(rank_pairs(m.chords), dtype=np.int64).reshape(-1, 2).T
+
+    def between(I: np.ndarray, P: np.ndarray) -> np.ndarray:
+        return (x[I] < P) & (P < y[I])
+
+    return pairs_graph(m.n, lambda I, J: between(I, x[J]) ^ between(I, y[J]))
 
 
 @dataclass(frozen=True)
@@ -233,16 +249,15 @@ class DiskPoints:
 
 def build_unit_disk_graph(p: DiskPoints) -> Graph:
     """Closed threshold on exact squared distances."""
-    n = p.n
-    rr = p.r * p.r
-    edges = []
-    for i in range(1, n + 1):
-        xi, yi = p.points[i - 1]
-        for j in range(i + 1, n + 1):
-            xj, yj = p.points[j - 1]
-            if (xi - xj) ** 2 + (yi - yj) ** 2 <= rr:
-                edges.append((i, j))
-    return Graph.build(n, edges)
+    vals = _integers([c for pt in p.points for c in pt] + [p.r])
+    x, y = vals[:-1].reshape(-1, 2).T
+    rr = vals[-1] ** 2
+
+    def near(I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        dx, dy = x[I] - x[J], y[I] - y[J]
+        return dx * dx + dy * dy <= rr
+
+    return pairs_graph(p.n, near)
 
 
 @dataclass(frozen=True)
@@ -278,15 +293,21 @@ class KBoxModel:
 
 
 def build_box_graph(m: KBoxModel) -> Graph:
-    """Edge iff the boxes meet, i.e. they overlap in every coordinate."""
-    n = m.n
-    edges = [(i, j)
-             for i in range(1, n + 1)
-             for j in range(i + 1, n + 1)
-             if all(max(m.boxes[i - 1][c][0], m.boxes[j - 1][c][0])
-                    <= min(m.boxes[i - 1][c][1], m.boxes[j - 1][c][1])
-                    for c in range(m.k))]
-    return Graph.build(n, edges)
+    """Edge iff the boxes meet, i.e. they overlap in every coordinate.
+
+    Only the order of the sides along an axis matters, so each axis is
+    ranked once, as interval models are.
+    """
+    axes = [np.array(rank_pairs([box[c] for box in m.boxes]), dtype=np.int64)
+            .reshape(-1, 2).T for c in range(m.k)]
+
+    def meets(I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        hit = np.True_
+        for lo, hi in axes:
+            hit = hit & (lo[I] <= hi[J]) & (lo[J] <= hi[I])
+        return hit
+
+    return pairs_graph(m.n, meets)
 
 
 def verify_box_representation(g: Graph, m: KBoxModel) -> bool:
@@ -304,12 +325,12 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     labels = tuple(g.sorted_edges())
     if not labels:
         raise EmptyGraph("the graph has no edges, so its line graph is empty")
-    n = len(labels)
-    edges = [(i, j)
-             for i in range(1, n + 1)
-             for j in range(i + 1, n + 1)
-             if set(labels[i - 1]) & set(labels[j - 1])]
-    return Graph.build(n, edges), labels
+    u, v = np.array(labels, dtype=np.int64).T
+
+    def share(I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        return (u[I] == u[J]) | (u[I] == v[J]) | (v[I] == u[J]) | (v[I] == v[J])
+
+    return pairs_graph(len(labels), share), labels
 
 
 def iterate_line_graph(g: Graph, steps: int, *, max_size: int = 20000) -> list[Graph]:

@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Union
+
+import numpy as np
 
 from .errors import BadParams, DisconnectedGraph, MalformedModel, NotSubgraph
 
@@ -46,11 +48,26 @@ def _normalize_edge(u: int, v: int, n: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _normalize_edge_array(edges: np.ndarray, n: int) -> frozenset[tuple[int, int]]:
+    # the checks of _normalize_edge over a whole (m, 2) array at once; the
+    # first bad row goes back through it to raise the same error
+    if edges.dtype.kind not in "iu" or edges.ndim != 2 or edges.shape[1] != 2:
+        raise MalformedModel(
+            f"edge array must be (m, 2) integers, got {edges.dtype} {edges.shape}")
+    lo, hi = np.minimum(*edges.T), np.maximum(*edges.T)
+    bad = np.flatnonzero((lo == hi) | (lo < 1) | (hi > n))
+    if bad.size:
+        _normalize_edge(*edges[bad[0]].tolist(), n)
+    return frozenset(zip(lo.tolist(), hi.tolist()))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected graph on vertices 1..n.
 
-    ``Graph.build`` is the validated entry point; it checks every edge.
+    ``Graph.build`` is the validated entry point.  It takes the edges as
+    integer pairs or as one (m, 2) integer array, and checks both alike:
+    integer ends, no self-loop, both ends in 1..n.
     """
 
     n: int
@@ -58,11 +75,14 @@ class Graph:
     weights: Optional[Mapping[int, Fraction]] = None
 
     @staticmethod
-    def build(n: int, edges: Iterable[tuple[int, int]],
+    def build(n: int, edges: Union[np.ndarray, Iterable[tuple[int, int]]],
               weights: Optional[Mapping[int, object]] = None) -> "Graph":
         if n < 0:
             raise MalformedModel(f"vertex count must be non-negative, got {n}")
-        normalized = frozenset(_normalize_edge(u, v, n) for u, v in edges)
+        if isinstance(edges, np.ndarray):
+            normalized = _normalize_edge_array(edges, n)
+        else:
+            normalized = frozenset(_normalize_edge(u, v, n) for u, v in edges)
         wmap = None
         if weights is not None:
             wmap = {}
@@ -150,6 +170,26 @@ class Graph:
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
+
+
+_BLOCK_CELLS = 1 << 16  # pairs per block, at least one row: block temporaries stay small
+
+
+def pairs_graph(n: int, meets: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Graph:
+    """Graph on 1..n with edge (i+1, j+1) for each pair i < j that meets.
+
+    ``meets(I, J)`` maps a column I of 0-based row indices and a row J of
+    0-based column indices to their broadcast boolean grid.  It is called
+    on blocks of rows, each with the columns past its first row.
+    """
+    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    idx = np.arange(n)
+    parts = [np.empty((0, 2), dtype=np.int64)]
+    for lo in range(0, n - 1, rows):
+        I, J = idx[lo:lo + rows, None], idx[None, lo + 1:]
+        r, c = np.nonzero((J > I) & meets(I, J))
+        parts.append(np.stack([r + (lo + 1), c + (lo + 2)], axis=1))
+    return Graph.build(n, np.concatenate(parts))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .errors import (
     MalformedModel,
     NotStrict,
 )
-from .graph import Graph, coerce_weights
+from .graph import Graph, coerce_weights, pairs_graph
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,8 @@ def overlaps(m: IntervalModel, i: int, j: int) -> bool:
 
 def build_interval_graph(m: IntervalModel) -> Graph:
     """Intersection graph of the model: edge (i,j) iff the intervals meet."""
-    edges = []
-    iv = m.spans
-    for i in range(len(iv)):
-        ai, bi = iv[i]
-        for j in range(i + 1, len(iv)):
-            aj, bj = iv[j]
-            if max(ai, aj) <= min(bi, bj):
-                edges.append((i + 1, j + 1))
-    return Graph.build(m.n, edges)
+    a, b = np.array(m.spans, dtype=np.int64).reshape(-1, 2).T
+    return pairs_graph(m.n, lambda I, J: (a[I] <= b[J]) & (a[J] <= b[I]))
 
 
 def _events(m: IntervalModel) -> list[tuple[int, int, int]]:
@@ -187,42 +180,37 @@ class IntervalTree:
         return Graph.build(self.n, [(u, p) for u, p in self.parent.items()])
 
 
-def _highest_lowest(m: IntervalModel) -> tuple[list[int], list[int]]:
-    # H(u) = max{w : a_w <= b_u}; L(u) = min{w : b_w >= a_u}; both tests
-    # coincide with adjacency for strict models because b is increasing
-    n = m.n
-    a = [p[0] for p in m.spans]
-    b = [p[1] for p in m.spans]
-    by_a = sorted(range(n), key=a.__getitem__)
-    high = [0] * (n + 1)
-    p = 0
-    seen = 0
-    for u in range(1, n + 1):
-        while p < n and a[by_a[p]] <= b[u - 1]:
-            seen = max(seen, by_a[p] + 1)
-            p += 1
-        high[u] = seen
-    # sweeping u by increasing a makes the bisection a shared pointer
-    low = [0] * (n + 1)
-    q = 0
-    for i in by_a:
-        while q < n and b[q] < a[i]:
-            q += 1
-        low[i + 1] = q + 1
-    return high, low
+def _parents(m: IntervalModel, what: str) -> list[int]:
+    # H(u) = max{w : a_w <= b_u} at index u, index 0 unused, for a strict,
+    # non-empty, connected model; the test is adjacency for w > u because
+    # b increases, so H(u) = u for some u < n means nothing later meets u
+    if not m.strict:
+        raise NotStrict(f"{what} needs a strict model")
+    if m.n == 0:
+        raise EmptyGraph(f"{what} needs a non-empty model")
+    a, b = np.array(m.spans, dtype=np.int64).T
+    by_a = np.argsort(a)
+    high = np.maximum.accumulate(by_a)[np.searchsorted(a[by_a], b, side="right") - 1] + 1
+    cut = np.flatnonzero(high[:-1] == np.arange(1, len(a)))
+    if cut.size:
+        raise DisconnectedGraph(f"vertex {cut[0] + 1} meets no later interval")
+    return [0, *high.tolist()]
+
+
+def _main_path(high: list[int]) -> list[int]:
+    # the parent chain from vertex 1 up to the root n
+    main = [1]
+    while main[-1] != len(high) - 1:
+        main.append(high[main[-1]])
+    return main
 
 
 def build_interval_tree(m: IntervalModel) -> IntervalTree:
     """Tree with parent(u) = H(u), plus levels, height and the main path."""
-    if not m.strict:
-        raise NotStrict("the interval tree needs a strict model")
+    high = _parents(m, "the interval tree")
     n = m.n
-    if n == 0:
-        raise EmptyGraph("no tree on an empty model")
-    high, low = _highest_lowest(m)
-    for u in range(1, n):
-        if high[u] == u:
-            raise DisconnectedGraph(f"vertex {u} meets no later interval")
+    a, b = np.array(m.spans, dtype=np.int64).T
+    low = np.searchsorted(b, a, side="left") + 1  # L(u) = min{w : b_w >= a_u}
     parent = {u: high[u] for u in range(1, n)}
     level = [0] * (n + 1)
     for u in range(n - 1, 0, -1):
@@ -231,18 +219,15 @@ def build_interval_tree(m: IntervalModel) -> IntervalTree:
     buckets: list[set[int]] = [set() for _ in range(height + 1)]
     for u in range(1, n + 1):
         buckets[level[u]].add(u)
-    main = [1]
-    while main[-1] != n:
-        main.append(high[main[-1]])
     return IntervalTree(
         n=n,
         parent=parent,
         highest=tuple(high[1:]),
-        lowest=tuple(low[1:]),
+        lowest=tuple(low.tolist()),
         level=tuple(level[1:]),
         levels=tuple(frozenset(s) for s in buckets),
         height=height,
-        main_path=tuple(main),
+        main_path=tuple(_main_path(high)),
     )
 
 
@@ -285,15 +270,8 @@ def apsp_interval(m: IntervalModel) -> list[list[int]]:
     from u needed before the chain's right endpoint reaches a_v; each row
     is therefore a single sorted search of the chain's right endpoints.
     """
-    if not m.strict:
-        raise NotStrict("the distance recurrence needs a strict model")
+    high = _parents(m, "the distance recurrence")
     n = m.n
-    if n == 0:
-        raise EmptyGraph("no distances on an empty model")
-    high, _ = _highest_lowest(m)
-    for u in range(1, n):
-        if high[u] == u:
-            raise DisconnectedGraph(f"vertex {u} meets no later interval")
     a = np.array([p[0] for p in m.spans], dtype=np.int64)
     b = [p[1] for p in m.spans]
     out = np.zeros((n, n), dtype=np.int64)
@@ -351,20 +329,15 @@ def tree_3_spanner(m: IntervalModel) -> SpannerTree:
     consecutive main-path vertices is reparented onto the higher of the
     two, an edge the chain edge above it guarantees to exist.
     """
-    t = build_interval_tree(m)
-    n = t.n
-    mp = list(t.main_path)
-    edges = [(mp[i], mp[i + 1]) for i in range(len(mp) - 1)]
-    on_path = set(mp)
-    for u in range(1, n + 1):
-        if u in on_path:
-            continue
-        j = bisect_left(mp, u)
-        edges.append((u, mp[j]))
+    n = m.n
+    path = np.array(_main_path(_parents(m, "the 3-spanner")), dtype=np.int64)
+    others = np.delete(np.arange(1, n + 1), path - 1)
+    edges = np.concatenate([np.stack([path[:-1], path[1:]], axis=1),
+                            np.stack([others, path[np.searchsorted(path, others)]], axis=1)])
     return SpannerTree(
         tree=Graph.build(n, edges),
         stretch=Fraction(3),
-        main_vertices=tuple(reversed(mp)),
+        main_vertices=tuple(reversed(path.tolist())),
     )
 
 

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import MalformedModel, NodeBudgetExceeded, NotAPermutation
-from .graph import Graph, WeightsArg, coerce_weights
+from .graph import Graph, WeightsArg, coerce_weights, pairs_graph
 
 Point = tuple[int, int]
 ORIGIN: Point = (0, 0)
@@ -101,12 +103,8 @@ def point_relation(rep: PointRep, p: Point, q: Point) -> PointRelation:
 
 def build_permutation_graph(p: Permutation) -> Graph:
     """Edge (i, j) iff the segments of i and j cross."""
-    n = p.n
-    edges = [(i, j)
-             for i in range(1, n + 1)
-             for j in range(i + 1, n + 1)
-             if p.position(i) > p.position(j)]
-    return Graph.build(n, edges)
+    pos = np.array(p.inv, dtype=np.int64)
+    return pairs_graph(p.n, lambda I, J: pos[I] > pos[J])
 
 
 def complement_permutation(p: Permutation) -> Permutation:

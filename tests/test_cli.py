@@ -1,6 +1,7 @@
 """Command dispatch, exit codes, stable output, dual-path agreement."""
 
 import ast
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,31 @@ def test_build_prints_sorted_edge_lines(tmp_path, capsys):
     rc, out, err = run(capsys, "build", "--model", str(path))
     assert rc == 0 and err == ""
     assert out.splitlines() == ["1 2", "1 3", "2 3", "4 5"]
+
+
+# sha256 of `isect build` stdout for `gen --n 60 --seed 7` of each kind, as
+# printed by the per-pair builders before the vectorised ones replaced them
+BUILD_SHA256 = {
+    "interval": "f7f0aca686302c48ff8936d979ca476b0ae8a3753dae72b89bcaffda7e4dd7aa",
+    "arcs": "c6a671905712a96e3142554a334e2bdd7ab12b17854ae98efc56c83923939869",
+    "permutation": "ba56f16ace8c3a239a4e56e0744dcea24930e9f35a10e0887b610cf474bb78c1",
+    "trapezoid": "d128e955a485f2e6697922a921b6c2ee673d9b6cf0e2d16ba0d019b61251595d",
+    "dotted": "434f78ac82403f1c44b0e617eb8efd10c67f1af497911aa0746a17e3f08f76e5",
+    "tolerance": "1bf60ac2a696867d976ee7731b1cbd10034ada42d157b47316a77a721d396ca4",
+    "chords": "f6c45658afb2b4f79fc44d7fc616184c31edacfdbbf224279e51ecf939d54b95",
+    "disks": "6f7f2fa39839a18533dede645a5772d67d8afbffcba2892455eeb13d40ab8f79",
+    "boxes": "a1ffe5ec30c37d2cde3ce187365680ec09662d67edc8021ce78dc5761effe5e4",
+    "graph": "b427393407f8a69c4f2e883d4750e41ae99275c844e357c4e2b89847ebedbe5e",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILD_SHA256))
+def test_build_output_is_byte_identical(kind, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(emit_model_file(generate_model(GeneratorSpec(kind, 60, 7))))
+    rc, out, err = run(capsys, "build", "--model", str(path))
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == BUILD_SHA256[kind]
 
 
 def test_gen_is_deterministic(capsys):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import complete_graph, cycle_graph, empty_graph, path_graph, star_graph
@@ -30,6 +31,38 @@ def test_build_rejects_bad_edges():
         Graph.build(3, [(1, 4)])
     with pytest.raises(MalformedModel):
         Graph.build(3, [(0, 2)])
+
+
+def test_build_takes_an_edge_array():
+    g = Graph.build(4, np.array([[3, 1], [2, 3], [1, 3], [4, 2]], dtype=np.int32))
+    assert g.sorted_edges() == [(1, 3), (2, 3), (2, 4)]
+    assert all(type(u) is int and type(v) is int for u, v in g.edges)
+    assert g == Graph.build(4, [(3, 1), (2, 3), (1, 3), (4, 2)])
+    assert Graph.build(3, np.empty((0, 2), dtype=np.int64)).edges == frozenset()
+
+
+@pytest.mark.parametrize("edges", [
+    np.array([[1, 2], [3, 3]]),                      # self-loop
+    np.array([[1, 2], [2, 5]]),                      # end above n
+    np.array([[0, 2]]),                              # end below 1
+    np.array([[1.0, 2.0]]),                          # float dtype
+    np.array([1, 2]),                                # one dimension
+    np.array([[1, 2, 3]]),                           # three columns
+    np.array([[[1, 2]]]),                            # three dimensions
+    np.array([[True, False]]),                       # booleans are not vertices
+], ids=["loop", "above", "below", "float", "flat", "wide", "deep", "bool"])
+def test_build_rejects_bad_edge_arrays(edges):
+    with pytest.raises(MalformedModel):
+        Graph.build(4, edges)
+
+
+def test_edge_array_errors_match_the_pair_path():
+    for edges in ([(1, 2), (3, 3)], [(2, 1), (4, 6)], [(-1, 2)]):
+        with pytest.raises(MalformedModel) as by_pairs:
+            Graph.build(4, edges)
+        with pytest.raises(MalformedModel) as by_array:
+            Graph.build(4, np.array(edges))
+        assert str(by_array.value) == str(by_pairs.value)
 
 
 def test_build_rejects_negative_weight():

@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,15 @@ def test_tree_invariants_on_random_models():
         assert tg.edges <= g.edges
 
 
+def test_tree_highest_and_lowest_are_the_closed_neighbourhood_ends():
+    for m in connected_strict_models(seed=13, count=30, lo=1, hi=50):
+        g = build_interval_graph(m)
+        t = build_interval_tree(m)
+        for u in range(1, m.n + 1):
+            hood = g.adj[u] | {u}
+            assert (t.H(u), t.L(u)) == (max(hood), min(hood))
+
+
 # -- distance queries and APSP -----------------------------------------------
 
 def test_distance_query_fixtures():
@@ -307,6 +317,27 @@ def test_spanner_on_triangle_and_random():
         assert is_tree_t_spanner(g, s.tree, 3) is True
         levels = build_interval_tree(m).levels
         assert all(s.main_vertices[i] in levels[i] for i in range(len(levels)))
+
+
+def test_spanner_hangs_each_vertex_on_the_next_main_path_vertex():
+    # the construction one vertex at a time, from the interval tree's main path
+    for m in connected_strict_models(seed=59, count=30, lo=1, hi=60):
+        mp = build_interval_tree(m).main_path
+        want = {(mp[i], mp[i + 1]) for i in range(len(mp) - 1)}
+        want |= {(u, mp[bisect_left(mp, u)]) for u in range(1, m.n + 1) if u not in mp}
+        s = tree_3_spanner(m)
+        assert s.tree.edges == want and s.tree.n == m.n
+        assert all(type(u) is int and type(v) is int for u, v in s.tree.edges)
+        assert s.main_vertices == tuple(reversed(mp))
+
+
+def test_spanner_rejects_bad_input():
+    with pytest.raises(NotStrict):
+        tree_3_spanner(IntervalModel.build([(1, 3), (2, 5)]))
+    with pytest.raises(DisconnectedGraph):
+        tree_3_spanner(IntervalModel.build([(1, 2), (3, 4)], strict=True))
+    with pytest.raises(EmptyGraph):
+        tree_3_spanner(IntervalModel.build([], strict=True))
 
 
 # -- coloring ----------------------------------------------------------------
