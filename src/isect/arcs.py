@@ -29,7 +29,7 @@ from .errors import (
     MalformedModel,
     SharedEndpoint,
 )
-from .graph import Graph, coerce_weights, pairs_graph
+from .graph import Graph, coerce_weights, pairs_graph, rational_pair
 from .intervals import IntervalModel, Weights, mwis_interval, rank_pairs
 
 ArcPair = tuple[Fraction, Fraction]
@@ -46,11 +46,7 @@ class ArcModel:
     def build(arcs: Iterable[tuple[object, object]]) -> "ArcModel":
         pairs: list[ArcPair] = []
         for k, arc in enumerate(arcs, start=1):
-            h, t = arc
-            try:
-                h, t = Fraction(h), Fraction(t)
-            except (TypeError, ValueError) as exc:
-                raise MalformedModel(f"arc {k} has non-rational endpoints") from exc
+            h, t = rational_pair(arc, "arc", k)
             if h == t:
                 raise SharedEndpoint(f"arc {k} has coinciding endpoints")
             pairs.append((h, t))
@@ -275,42 +271,38 @@ def arcs_to_intervals_with_sentinel(m: ArcModel) -> IntervalModel:
 
 
 def mwis_circular_arc(m: ArcModel, weights: Weights = None) -> tuple[int, ...]:
-    """Maximum-weight independent set of the arc intersection graph.
+    """Maximum-weight independent set, lexicographically smallest witness.
 
-    Any independent set uses at most one arc of the backward clique at
-    the standard cut, so trying each backward arc (with that arc's
-    closed neighborhood deleted) and the all-forward case covers every
-    candidate.  Each case reduces to intervals.  Ties between equal
-    weights go to the lexicographically smallest vertex set.
+    Straighten at the gap the fewest arcs cover.  The arcs crossing the
+    cut pairwise meet, so an independent set is forward arcs alone, or
+    one crossing arc i and forward arcs in its gap: one interval case
+    each, i meeting none of the others.  The cases hold every independent
+    set and no other, so the heaviest case optimum, ties to the smaller
+    tuple, is the lexicographically smallest.  A zero-weight i needs no
+    raised weight: the solver admits the isolated i whenever weight is
+    left to collect at its index, else the set without i, a prefix, wins.
     """
     if m.n == 0:
         return ()
-    if not m.canonical:
-        canon, order = canonicalize(m)
-        w0 = coerce_weights(m.n, weights)
-        sub = mwis_circular_arc(canon, [w0[order[k - 1] - 1] for k in range(1, canon.n + 1)])
-        return tuple(sorted(order[v - 1] for v in sub))
     w = coerce_weights(m.n, weights)
-    if not m.covers_circle:
-        return mwis_interval(straighten_at_gap(m), w)
-    split = split_at_cut(m)
-    # the forward arcs alone, with no backward arc, are the first candidate
-    best: tuple[Fraction, tuple[int, ...]] = (Fraction(0), ())
-    fwd = sorted(split.forward)
-    if fwd:
-        pairs = _straighten(m, split.cut_point)
-        sub = IntervalModel.build([pairs[r - 1] for r in fwd])
-        pick = mwis_interval(sub, [w[r - 1] for r in fwd])
-        chosen = tuple(fwd[k - 1] for k in pick)
-        best = (sum((w[v - 1] for v in chosen), Fraction(0)), chosen)
-    for i in sorted(split.backward):
-        sub, ids = delete_closed_neighborhood(m, i)
-        pick = mwis_interval(sub, [w[r - 1] for r in ids])
-        chosen = tuple(sorted((i,) + tuple(ids[k - 1] for k in pick)))
-        total = sum((w[v - 1] for v in chosen), Fraction(0))
-        if total > best[0] or (total == best[0] and chosen < best[1]):
-            best = (total, chosen)
-    return best[1]
+    heads, tails = np.array(m.spans).T
+    delta = np.zeros(2 * m.n + 1, dtype=np.int64)
+    delta[heads], delta[tails] = 1, -1
+    # the count of arcs over the gap past each rank, less the wrapping ones
+    cut = int(np.argmin(np.cumsum(delta)[1:])) + 1
+    pairs = _straighten(m, cut)
+    fwd = [r for r in range(1, m.n + 1) if pairs[r - 1][0] >= 1]
+    # case i: the crossing arc i and the forward arcs strictly inside its gap
+    cases = [fwd] + [sorted([i] + [r for r in fwd if b < pairs[r - 1][0]
+                                   and pairs[r - 1][1] < a + 2 * m.n])
+                     for i, (a, b) in enumerate(pairs, start=1) if a < 1]
+    found = []
+    for ids in cases:
+        pick = mwis_interval(IntervalModel.build([pairs[r - 1] for r in ids]),
+                             [w[r - 1] for r in ids])
+        chosen = tuple(ids[k - 1] for k in pick)
+        found.append((-sum((w[v - 1] for v in chosen), Fraction(0)), chosen))
+    return min(found)[1]
 
 
 def _hops(spans: Sequence[Span]) -> np.ndarray:

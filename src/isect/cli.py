@@ -98,9 +98,10 @@ def _cmd_build(args) -> int:
 # -- solve / oracle ----------------------------------------------------------
 
 def _interval_clique(m) -> list[int]:
+    # a maximum clique is maximal: the largest, then least, sorted list
     strict, order = normalize(m)
-    picked = max(maximal_cliques_interval(strict), key=len)
-    return [order[v - 1] for v in picked]
+    cliques = [sorted(order[v - 1] for v in c) for c in maximal_cliques_interval(strict)]
+    return min(cliques, key=lambda c: (-len(c), c))
 
 
 # structured solvers by (kind, problem), each called as solver(model file,

@@ -25,7 +25,7 @@ from .errors import (
     SharedEndpoint,
     SizeBudgetExceeded,
 )
-from .graph import Graph, pairs_graph
+from .graph import Graph, pairs_graph, rational_pair
 from .intervals import rank_pairs
 
 INFINITE_TOLERANCE = math.inf
@@ -34,7 +34,7 @@ INFINITE_TOLERANCE = math.inf
 def _frac(x: object, what: str) -> Fraction:
     try:
         return Fraction(x)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedModel(f"{what} is not rational: {x!r}") from exc
 
 
@@ -111,8 +111,7 @@ class ToleranceRep:
               tolerances: object) -> "ToleranceRep":
         ivs = []
         for k, iv in enumerate(intervals, start=1):
-            lo, hi = iv
-            lo, hi = _frac(lo, f"interval {k} left"), _frac(hi, f"interval {k} right")
+            lo, hi = rational_pair(iv, "interval", k)
             if lo > hi:
                 raise MalformedModel(f"interval {k} is reversed")
             ivs.append((lo, hi))
@@ -189,7 +188,10 @@ class ChordModel:
         out = []
         seen: set[int] = set()
         for k, ch in enumerate(chords, start=1):
-            x, y = ch
+            try:
+                x, y = ch
+            except (TypeError, ValueError) as exc:
+                raise MalformedModel(f"chord {k} is not a pair: {ch!r}") from exc
             if not (isinstance(x, int) and isinstance(y, int)):
                 raise MalformedModel(f"chord {k} has non-integer positions")
             if x == y:
@@ -235,8 +237,7 @@ class DiskPoints:
     def build(points: Iterable[Sequence[object]], r: object = 1) -> "DiskPoints":
         pts = []
         for k, p in enumerate(points, start=1):
-            x, y = p
-            pts.append((_frac(x, f"point {k} x"), _frac(y, f"point {k} y")))
+            pts.append(rational_pair(p, "point", k))
         radius = _frac(r, "radius")
         if radius <= 0:
             raise BadParams(f"radius must be positive, got {r!r}")
@@ -275,9 +276,7 @@ class KBoxModel:
         for v, box in enumerate(boxes, start=1):
             sides = []
             for c, side in enumerate(box, start=1):
-                lo, hi = side
-                lo = _frac(lo, f"box {v} side {c} low")
-                hi = _frac(hi, f"box {v} side {c} high")
+                lo, hi = rational_pair(side, f"box {v} side", c)
                 if lo > hi:
                     raise MalformedModel(f"box {v} side {c} is reversed")
                 sides.append((lo, hi))

@@ -38,6 +38,15 @@ def coerce_weights(n: int, weights: WeightsArg) -> list[Fraction]:
     return vals
 
 
+def rational_pair(item: object, what: str, k: int) -> tuple[Fraction, Fraction]:
+    """Item k of a model, two values such as an interval's ends, as rationals."""
+    try:
+        x, y = item  # type: ignore[misc]
+        return Fraction(x), Fraction(y)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedModel(f"{what} {k} is not a pair of rationals: {item!r}") from exc
+
+
 def _normalize_edge(u: int, v: int, n: int) -> tuple[int, int]:
     if not (isinstance(u, int) and isinstance(v, int)):
         raise MalformedModel(f"edge endpoints must be integers, got ({u!r}, {v!r})")

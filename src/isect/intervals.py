@@ -30,7 +30,7 @@ from .errors import (
     MalformedModel,
     NotStrict,
 )
-from .graph import Graph, coerce_weights, pairs_graph
+from .graph import Graph, coerce_weights, pairs_graph, rational_pair
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,7 @@ class IntervalModel:
               strict: bool = False) -> "IntervalModel":
         pairs = []
         for r, pair in enumerate(intervals, start=1):
-            try:
-                raw_a, raw_b = pair
-                a, b = Fraction(raw_a), Fraction(raw_b)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise MalformedModel(
-                    f"interval {r}: {pair!r} is not a pair of rationals") from exc
+            a, b = rational_pair(pair, "interval", r)
             if a >= b:
                 raise MalformedModel(
                     f"interval {r}: [{a}, {b}] has no interior; points are rejected")
@@ -197,12 +192,12 @@ def _parents(m: IntervalModel, what: str) -> list[int]:
     return [0, *high.tolist()]
 
 
-def _main_path(high: list[int]) -> list[int]:
-    # the parent chain from vertex 1 up to the root n
-    main = [1]
-    while main[-1] != len(high) - 1:
-        main.append(high[main[-1]])
-    return main
+def _chain_up(high: list[int], u: int) -> list[int]:
+    # the parent chain from vertex u up to the root n; from 1, the main path
+    chain = [u]
+    while chain[-1] != len(high) - 1:
+        chain.append(high[chain[-1]])
+    return chain
 
 
 def build_interval_tree(m: IntervalModel) -> IntervalTree:
@@ -227,7 +222,7 @@ def build_interval_tree(m: IntervalModel) -> IntervalTree:
         level=tuple(level[1:]),
         levels=tuple(frozenset(s) for s in buckets),
         height=height,
-        main_path=tuple(_main_path(high)),
+        main_path=tuple(_chain_up(high, 1)),
     )
 
 
@@ -276,13 +271,7 @@ def apsp_interval(m: IntervalModel) -> list[list[int]]:
     b = [p[1] for p in m.spans]
     out = np.zeros((n, n), dtype=np.int64)
     for u in range(1, n):
-        chain = []
-        x = u
-        while True:
-            chain.append(b[x - 1])
-            if x == n:
-                break
-            x = high[x]
+        chain = [b[x - 1] for x in _chain_up(high, u)]
         ks = np.searchsorted(np.array(chain, dtype=np.int64), a[u:], side="left")
         out[u - 1, u:] = ks + 1
     out = out + out.T
@@ -330,7 +319,7 @@ def tree_3_spanner(m: IntervalModel) -> SpannerTree:
     two, an edge the chain edge above it guarantees to exist.
     """
     n = m.n
-    path = np.array(_main_path(_parents(m, "the 3-spanner")), dtype=np.int64)
+    path = np.array(_chain_up(_parents(m, "the 3-spanner"), 1), dtype=np.int64)
     others = np.delete(np.arange(1, n + 1), path - 1)
     edges = np.concatenate([np.stack([path[:-1], path[1:]], axis=1),
                             np.stack([others, path[np.searchsorted(path, others)]], axis=1)])

@@ -195,15 +195,27 @@ def enumerate_mis(p: Permutation, cap: Optional[int] = None) -> tuple[tuple[int,
 
 
 def _chain_dp(p: Permutation, w: list[Fraction]) -> list[Fraction]:
-    # best[v - 1]: heaviest increasing chain that starts at vertex v
+    # best[v - 1]: heaviest increasing chain that starts at vertex v.  Going
+    # down from v = n, a Fenwick tree over reversed lower-line positions
+    # holds the best[] of the vertices already passed, so the heaviest
+    # chain that can follow v is one prefix max: O(n log n) in all
     n = p.n
-    best = [Fraction(0)] * n
+    zero = Fraction(0)
+    best = [zero] * n
+    tree = [zero] * (n + 1)
     for v in range(n, 0, -1):
-        tail = Fraction(0)
-        for u in range(v + 1, n + 1):
-            if p.position(u) > p.position(v) and best[u - 1] > tail:
-                tail = best[u - 1]
-        best[v - 1] = w[v - 1] + tail
+        r = n + 1 - p.position(v)
+        tail = zero
+        k = r - 1
+        while k:
+            if tree[k] > tail:
+                tail = tree[k]
+            k &= k - 1
+        best[v - 1] = here = w[v - 1] + tail
+        while r <= n:
+            if here > tree[r]:
+                tree[r] = here
+            r += r & -r
     return best
 
 
@@ -234,29 +246,10 @@ def mwis_permutation(p: Permutation, weights: WeightsArg = None) -> tuple[int, .
 
 
 def max_clique_permutation(p: Permutation) -> tuple[int, ...]:
-    """Vertices of a longest decreasing subsequence of the sequence.
+    """Maximum clique, lexicographically smallest witness.
 
-    Reading the chosen positions left to right, the values decrease;
-    those values pairwise cross, so they form a clique of maximum size.
-    The earliest viable position is taken at every step.
+    The reversed sequence's graph is the complement of this one, so the
+    cliques here are the independent sets there, and a maximum clique
+    is a maximum independent set of the complement permutation.
     """
-    n = p.n
-    if n == 0:
-        return ()
-    longest = [0] * (n + 1)
-    for k in range(n, 0, -1):
-        tail = 0
-        for m in range(k + 1, n + 1):
-            if p.pi[m - 1] < p.pi[k - 1] and longest[m] > tail:
-                tail = longest[m]
-        longest[k] = 1 + tail
-    size = max(longest)
-    out: list[int] = []
-    need, prev_pos = size, 0
-    while need > 0:
-        k = prev_pos + 1
-        while longest[k] != need or (prev_pos and p.pi[k - 1] >= p.pi[prev_pos - 1]):
-            k += 1
-        out.append(p.pi[k - 1])
-        prev_pos, need = k, need - 1
-    return tuple(sorted(out))
+    return mwis_permutation(complement_permutation(p))

@@ -32,7 +32,10 @@ class TrapezoidModel:
     def build(items: Iterable[Sequence[object]]) -> "TrapezoidModel":
         rows: list[Item] = []
         for k, it in enumerate(items, start=1):
-            a, b, c, d = it
+            try:
+                a, b, c, d = it
+            except (TypeError, ValueError) as exc:
+                raise MalformedModel(f"trapezoid {k} needs four corners: {it!r}") from exc
             if not all(isinstance(x, int) for x in (a, b, c, d)):
                 raise MalformedModel(f"trapezoid {k} has non-integer corners")
             if not (a < b and c < d):

@@ -28,6 +28,7 @@ from isect.errors import (
     MalformedModel,
     SharedEndpoint,
 )
+from isect.generators import GeneratorSpec, generate_model
 from isect.graph import Graph, bfs_apsp
 from isect.intervals import build_interval_graph, overlaps
 from isect.oracles import brute_solve, is_interval_bruteforce
@@ -313,6 +314,15 @@ def test_mwis_can_avoid_every_backward_arc():
     assert mwis_circular_arc(m, [1, 10, 1, 10, 1]) == (2, 4)
 
 
+def test_mwis_witness_is_lexicographically_smallest():
+    # the oracle's witnesses: the zero-weight arc 4 joins the one weighted
+    # arc, since (4, 5) comes before (5,)
+    m = ArcModel.build([(3, 20), (7, 14), (23, 17), (6, 8), (12, 5), (9, 11)])
+    assert mwis_circular_arc(m, [0, 0, 0, 0, 1, 0]) == (4, 5)
+    # ties go to the smallest vertex ids, not to the smallest canonical ids
+    assert mwis_circular_arc(generate_model(GeneratorSpec("arcs", 4, 1)).model) == (1,)
+
+
 def test_mwis_matches_oracle():
     rng = SplitMix64(937)
     for _ in range(30):
@@ -327,6 +337,7 @@ def test_mwis_matches_oracle():
         gw = Graph.build(g.n, g.sorted_edges(),
                          {v: weights[v - 1] for v in g.vertices()})
         want = brute_solve(gw, "mwis", max_n=16)
+        assert got == want.witness
         assert sum(weights[v - 1] for v in got) == want.value
 
 
@@ -345,6 +356,7 @@ def test_mwis_on_raw_models():
         gw = Graph.build(g.n, g.sorted_edges(),
                          {v: weights[v - 1] for v in g.vertices()})
         want = brute_solve(gw, "mwis", max_n=16)
+        assert got == want.witness
         assert sum(weights[v - 1] for v in got) == want.value
 
 

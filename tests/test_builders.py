@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import box_pred, disk_pred, pairwise_graph, tolerance_pred
 from isect import graph
 from isect.arcs import ArcModel, _meet, build_circular_arc_graph
+from isect.errors import MalformedModel
 from isect.generators import GeneratorSpec, generate_model
 from isect.geom import (
     INFINITE_TOLERANCE,
@@ -209,3 +210,33 @@ def test_interval_builder_matches_pair_loop_property(intervals):
 def test_box_builder_matches_pair_loop_property(k_boxes):
     k, boxes = k_boxes
     assert_matches("boxes", KBoxModel.build(k, boxes))
+
+
+# each constructor given a "1/0" literal or an item of the wrong arity
+BAD_MODELS = {
+    "interval 1/0": lambda: IntervalModel.build([("1/0", 2)]),
+    "interval arity": lambda: IntervalModel.build([(1, 2, 3)]),
+    "arcs 1/0": lambda: ArcModel.build([("1/0", 2)]),
+    "arcs arity": lambda: ArcModel.build([(1, 2, 3)]),
+    "arcs none": lambda: ArcModel.build([None]),
+    "disks point 1/0": lambda: DiskPoints.build([(0, "1/0")]),
+    "disks radius 1/0": lambda: DiskPoints.build([(0, 0)], "1/0"),
+    "disks arity": lambda: DiskPoints.build([(0, 0, 0)]),
+    "disks none": lambda: DiskPoints.build([None]),
+    "tolerance endpoint 1/0": lambda: ToleranceRep.build([("1/0", 2)], [1]),
+    "tolerance 1/0": lambda: ToleranceRep.build([(0, 2)], ["1/0"]),
+    "tolerance arity": lambda: ToleranceRep.build([(0,)], [1]),
+    "boxes side 1/0": lambda: KBoxModel.build(1, [[(0, "1/0")]]),
+    "boxes arity": lambda: KBoxModel.build(1, [[(0, 1, 2)]]),
+    "boxes none": lambda: KBoxModel.build(1, [[None]]),
+    "chords arity": lambda: ChordModel.build([(1, 2, 3)]),
+    "chords none": lambda: ChordModel.build([None]),
+    "trapezoid arity": lambda: TrapezoidModel.build([(1, 2, 1)]),
+    "trapezoid none": lambda: TrapezoidModel.build([None]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+def test_constructors_reject_bad_items_as_malformed(case):
+    with pytest.raises(MalformedModel):
+        BAD_MODELS[case]()

@@ -240,6 +240,7 @@ def test_max_clique_matches_oracle():
                 if a < b:
                     assert g.has_edge(a, b)
         want = brute_solve(g, "max_clique", max_n=16)
+        assert got == want.witness
         assert len(got) == want.value
 
 
