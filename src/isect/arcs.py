@@ -29,8 +29,8 @@ from .errors import (
     MalformedModel,
     SharedEndpoint,
 )
-from .graph import Graph, coerce_weights, pairs_graph, rational_pair
-from .intervals import IntervalModel, Weights, mwis_interval, rank_pairs
+from .graph import Graph, WeightsArg, coerce_weights, lex_weights, pairs_graph, rational_pair
+from .intervals import IntervalModel, mwis_interval, rank_pairs
 
 ArcPair = tuple[Fraction, Fraction]
 Span = tuple[int, int]
@@ -270,21 +270,22 @@ def arcs_to_intervals_with_sentinel(m: ArcModel) -> IntervalModel:
     return IntervalModel.build(pairs + [sentinel])
 
 
-def mwis_circular_arc(m: ArcModel, weights: Weights = None) -> tuple[int, ...]:
+def mwis_circular_arc(m: ArcModel, weights: WeightsArg = None) -> tuple[int, ...]:
     """Maximum-weight independent set, lexicographically smallest witness.
 
     Straighten at the gap the fewest arcs cover.  The arcs crossing the
     cut pairwise meet, so an independent set is forward arcs alone, or
     one crossing arc i and forward arcs in its gap: one interval case
     each, i meeting none of the others.  The cases hold every independent
-    set and no other, so the heaviest case optimum, ties to the smaller
-    tuple, is the lexicographically smallest.  A zero-weight i needs no
-    raised weight: the solver admits the isolated i whenever weight is
-    left to collect at its index, else the set without i, a prefix, wins.
+    set and no other, and each returns its lexicographically smallest
+    optimum, with no zero-weight tail.  So no equally heavy case optimum
+    is a prefix of another, and the one with the largest total under the
+    global ``lex_weights`` is also the smallest tuple.
     """
     if m.n == 0:
         return ()
     w = coerce_weights(m.n, weights)
+    lw = lex_weights(w)
     heads, tails = np.array(m.spans).T
     delta = np.zeros(2 * m.n + 1, dtype=np.int64)
     delta[heads], delta[tails] = 1, -1
@@ -300,9 +301,8 @@ def mwis_circular_arc(m: ArcModel, weights: Weights = None) -> tuple[int, ...]:
     for ids in cases:
         pick = mwis_interval(IntervalModel.build([pairs[r - 1] for r in ids]),
                              [w[r - 1] for r in ids])
-        chosen = tuple(ids[k - 1] for k in pick)
-        found.append((-sum((w[v - 1] for v in chosen), Fraction(0)), chosen))
-    return min(found)[1]
+        found.append(tuple(ids[k - 1] for k in pick))
+    return max(found, key=lambda chosen: sum(lw[v - 1] for v in chosen))
 
 
 def _hops(spans: Sequence[Span]) -> np.ndarray:

@@ -101,7 +101,7 @@ def _interval_clique(m) -> list[int]:
     # a maximum clique is maximal: the largest, then least, sorted list
     strict, order = normalize(m)
     cliques = [sorted(order[v - 1] for v in c) for c in maximal_cliques_interval(strict)]
-    return min(cliques, key=lambda c: (-len(c), c))
+    return min(cliques, key=lambda c: (-len(c), c), default=[])
 
 
 # structured solvers by (kind, problem), each called as solver(model file,

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Union
+from math import lcm
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,6 +37,33 @@ def coerce_weights(n: int, weights: WeightsArg) -> list[Fraction]:
         if w < 0:
             raise BadParams(f"negative weight {w} at vertex {r}")
     return vals
+
+
+def lex_weights(w: Sequence[Fraction]) -> list[int]:
+    """Integer weights under which a max-weight DP has a single optimum.
+
+    Scaled to integers by their common denominator and shifted past n
+    bits, vertex v's weight also gets bit n - v.  Those bits never carry,
+    so the heaviest set wins, and of equally heavy sets the one holding
+    the smaller vertex at their first difference: symbolic perturbation
+    (Edelsbrunner & Mücke, "Simulation of Simplicity", ACM TOG 1990).
+    """
+    n = len(w)
+    d = lcm(*(x.denominator for x in w))
+    return [x.numerator * (d // x.denominator) << n | 1 << (n - v)
+            for v, x in enumerate(w, start=1)]
+
+
+def lex_trim(chosen: Sequence[int], w: Sequence[Fraction]) -> tuple[int, ...]:
+    """The lexicographically smallest optimum, from the sorted perturbed one.
+
+    They differ only by zero-weight vertices after the last weighted one,
+    and dropping those leaves a prefix: as heavy, and a smaller tuple.
+    """
+    k = len(chosen)
+    while k and w[chosen[k - 1] - 1] == 0:
+        k -= 1
+    return tuple(chosen[:k])
 
 
 def rational_pair(item: object, what: str, k: int) -> tuple[Fraction, Fraction]:

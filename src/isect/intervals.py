@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,15 @@ from .errors import (
     MalformedModel,
     NotStrict,
 )
-from .graph import Graph, coerce_weights, pairs_graph, rational_pair
+from .graph import (
+    Graph,
+    WeightsArg,
+    coerce_weights,
+    lex_trim,
+    lex_weights,
+    pairs_graph,
+    rational_pair,
+)
 
 
 @dataclass(frozen=True)
@@ -352,47 +360,33 @@ def greedy_color(m: IntervalModel) -> dict[int, int]:
     return color
 
 
-Weights = Union[None, Mapping[int, object], Sequence[object]]
-
-
-def _best_weight(m: IntervalModel, w: list[Fraction], cands: Iterable[int]) -> Fraction:
-    # max total weight of a pairwise disjoint subfamily of cands
-    spans = m.spans
-    order = sorted(cands, key=lambda r: spans[r - 1][1])
-    rights = [spans[r - 1][1] for r in order]
-    best = [Fraction(0)] * (len(order) + 1)
-    for k, r in enumerate(order, start=1):
-        a = spans[r - 1][0]
-        j = bisect_left(rights, a)  # entries before j end strictly left of a
-        best[k] = max(best[k - 1], best[j] + w[r - 1])
-    return best[-1]
-
-
-def mwis_interval(m: IntervalModel, weights: Weights = None) -> tuple[int, ...]:
+def mwis_interval(m: IntervalModel, weights: WeightsArg = None) -> tuple[int, ...]:
     """Maximum-weight independent set, lexicographically smallest witness.
 
-    Weights default to 1 and must be non-negative rationals.  Vertices
-    are admitted in index order whenever the optimum stays reachable;
-    once the remaining target hits zero the set is complete, so zero
-    weight vertices are never padded on.
+    Weights default to 1 and must be non-negative rationals.  One DP
+    over the intervals by right endpoint, on the perturbed weights of
+    ``lex_weights``, has a single optimum; its back-trace, less the
+    zero-weight tail, is the witness.  O(n log n) comparisons.
     """
     w = coerce_weights(m.n, weights)
-    n = m.n
-    total = _best_weight(m, w, range(1, n + 1))
-    chosen: list[int] = []
-    rem = total
-    for v in range(1, n + 1):
-        if rem == 0:
-            break
-        if any(overlaps(m, v, s) for s in chosen):
-            continue
-        cands = [x for x in range(v + 1, n + 1)
-                 if not overlaps(m, x, v)
-                 and all(not overlaps(m, x, s) for s in chosen)]
-        if w[v - 1] + _best_weight(m, w, cands) == rem:
-            chosen.append(v)
-            rem -= w[v - 1]
-    return tuple(chosen)
+    lw = lex_weights(w)
+    spans = m.spans
+    order = sorted(range(m.n), key=lambda i: spans[i][1])
+    rights = [spans[i][1] for i in order]
+    # before[k]: the intervals ahead of order[k] that end strictly left of it
+    before = [bisect_left(rights, spans[i][0]) for i in order]
+    best = [0] * (m.n + 1)
+    for k, i in enumerate(order):
+        best[k + 1] = max(best[k], best[before[k]] + lw[i])
+    chosen = []
+    k = m.n
+    while k:
+        if best[k] == best[k - 1]:
+            k -= 1
+        else:
+            chosen.append(order[k - 1] + 1)
+            k = before[k - 1]
+    return lex_trim(sorted(chosen), w)
 
 
 def maximal_cliques_interval(m: IntervalModel) -> tuple[tuple[int, ...], ...]:
@@ -439,14 +433,8 @@ def has_consecutive_ones(matrix: Sequence[Sequence[int]]) -> Optional[tuple[int,
     cols = [[i for i, row in enumerate(rows) if row[c]] for c in range(width)]
     for perm in permutations(range(len(rows))):
         pos = {r: k for k, r in enumerate(perm)}
-        ok = True
-        for ones in cols:
-            if not ones:
-                continue
-            ps = [pos[r] for r in ones]
-            if max(ps) - min(ps) + 1 != len(ps):
-                ok = False
-                break
-        if ok:
+        # each column's 1s sit on len(ones) consecutive rows
+        if all(max(pos[r] for r in ones) - min(pos[r] for r in ones) + 1 == len(ones)
+               for ones in cols if ones):
             return perm
     return None

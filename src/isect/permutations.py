@@ -10,13 +10,12 @@ coordinates, which drives every algorithm here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import MalformedModel, NodeBudgetExceeded, NotAPermutation
-from .graph import Graph, WeightsArg, coerce_weights, pairs_graph
+from .graph import Graph, WeightsArg, coerce_weights, lex_trim, lex_weights, pairs_graph
 
 Point = tuple[int, int]
 ORIGIN: Point = (0, 0)
@@ -194,18 +193,17 @@ def enumerate_mis(p: Permutation, cap: Optional[int] = None) -> tuple[tuple[int,
     return tuple(sorted(found))
 
 
-def _chain_dp(p: Permutation, w: list[Fraction]) -> list[Fraction]:
+def _chain_dp(p: Permutation, w: list[int]) -> list[int]:
     # best[v - 1]: heaviest increasing chain that starts at vertex v.  Going
     # down from v = n, a Fenwick tree over reversed lower-line positions
     # holds the best[] of the vertices already passed, so the heaviest
     # chain that can follow v is one prefix max: O(n log n) in all
     n = p.n
-    zero = Fraction(0)
-    best = [zero] * n
-    tree = [zero] * (n + 1)
+    best = [0] * n
+    tree = [0] * (n + 1)
     for v in range(n, 0, -1):
         r = n + 1 - p.position(v)
-        tail = zero
+        tail = 0
         k = r - 1
         while k:
             if tree[k] > tail:
@@ -224,25 +222,21 @@ def mwis_permutation(p: Permutation, weights: WeightsArg = None) -> tuple[int, .
 
     An independent set is a chain of points increasing in both
     coordinates, so the optimum is a heaviest increasing subsequence of
-    the points.  The witness then admits vertices in index order
-    whenever the optimum stays reachable, and stops as soon as the
-    remaining target is zero.
+    the points.  On the perturbed weights of ``lex_weights`` that chain
+    is unique, so walking the vertices in index order it holds exactly
+    those whose best chain weighs what is left of the optimum; less its
+    zero-weight tail, it is the witness.
     """
-    n = p.n
-    w = coerce_weights(n, weights)
-    best = _chain_dp(p, w)
-    total = max(best, default=Fraction(0))
-    chosen: list[int] = []
-    rem = total
-    last_pos = 0
-    for v in range(1, n + 1):
-        if rem == 0:
-            break
-        if p.position(v) > last_pos and best[v - 1] == rem:
+    w = coerce_weights(p.n, weights)
+    lw = lex_weights(w)
+    best = _chain_dp(p, lw)
+    rem = max(best, default=0)
+    chosen = []
+    for v in range(1, p.n + 1):
+        if best[v - 1] == rem:
             chosen.append(v)
-            rem -= w[v - 1]
-            last_pos = p.position(v)
-    return tuple(chosen)
+            rem -= lw[v - 1]
+    return lex_trim(chosen, w)
 
 
 def max_clique_permutation(p: Permutation) -> tuple[int, ...]:

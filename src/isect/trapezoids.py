@@ -97,13 +97,8 @@ class SegmentRep:
 
 
 def to_segment_rep(m: TrapezoidModel) -> SegmentRep:
-    segs = []
-    for a, b, c, d in m.items:
-        p, q = (a, c), (b, d)
-        if not (p[0] <= q[0] and p[1] <= q[1]):
-            raise MalformedModel("segment endpoints out of order")
-        segs.append((p, q))
-    return SegmentRep(tuple(segs))
+    # a <= b and c <= d hold for every model, so the ends are in order
+    return SegmentRep(tuple(((a, c), (b, d)) for a, b, c, d in m.items))
 
 
 def segments_joint(si: Sequence[Sequence[int]], sj: Sequence[Sequence[int]]) -> bool:
@@ -128,13 +123,7 @@ class BoxRep:
 
 
 def to_box_rep(m: TrapezoidModel) -> BoxRep:
-    out = []
-    for a, b, c, d in m.items:
-        lo, up = (a, c), (b, d)
-        if not (lo[0] <= up[0] and lo[1] <= up[1]):
-            raise MalformedModel("box corners out of order")
-        out.append((lo, up))
-    return BoxRep(tuple(out))
+    return BoxRep(tuple(((a, c), (b, d)) for a, b, c, d in m.items))
 
 
 def boxes_incomparable(bi: Sequence[Sequence[int]], bj: Sequence[Sequence[int]]) -> bool:

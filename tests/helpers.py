@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from bisect import bisect_left
+from fractions import Fraction
+from typing import Callable, Iterable
 
 from isect.geom import DiskPoints, KBoxModel, ToleranceRep
-from isect.graph import Graph
+from isect.graph import Graph, WeightsArg, coerce_weights
+from isect.intervals import IntervalModel, overlaps
+from isect.permutations import Permutation
 from isect.rng import SplitMix64
 
 
@@ -70,3 +74,60 @@ def box_pred(m: KBoxModel) -> Callable[[int, int], bool]:
         return all(max(si[0], sj[0]) <= min(si[1], sj[1])
                    for si, sj in zip(m.boxes[i - 1], m.boxes[j - 1]))
     return pred
+
+
+# reference weighted independent set solvers on exact rational weights, with
+# no perturbation: each finds its lexicographically smallest witness by
+# admitting vertices in index order while the optimum stays reachable
+
+
+def _best_weight(m: IntervalModel, w: list[Fraction], cands: Iterable[int]) -> Fraction:
+    # max total weight of a pairwise disjoint subfamily of cands
+    spans = m.spans
+    order = sorted(cands, key=lambda r: spans[r - 1][1])
+    rights = [spans[r - 1][1] for r in order]
+    best = [Fraction(0)] * (len(order) + 1)
+    for k, r in enumerate(order, start=1):
+        j = bisect_left(rights, spans[r - 1][0])  # entries before j end strictly left
+        best[k] = max(best[k - 1], best[j] + w[r - 1])
+    return best[-1]
+
+
+def mwis_interval_reference(m: IntervalModel, weights: WeightsArg = None) -> tuple[int, ...]:
+    """Re-solve the remaining candidates for every vertex: O(n^2 log n)."""
+    w = coerce_weights(m.n, weights)
+    rem = _best_weight(m, w, range(1, m.n + 1))
+    chosen: list[int] = []
+    for v in range(1, m.n + 1):
+        if rem == 0:
+            break
+        if any(overlaps(m, v, s) for s in chosen):
+            continue
+        cands = [x for x in range(v + 1, m.n + 1)
+                 if not overlaps(m, x, v) and all(not overlaps(m, x, s) for s in chosen)]
+        if w[v - 1] + _best_weight(m, w, cands) == rem:
+            chosen.append(v)
+            rem -= w[v - 1]
+    return tuple(chosen)
+
+
+def mwis_permutation_reference(p: Permutation, weights: WeightsArg = None) -> tuple[int, ...]:
+    """The heaviest-chain DP in Fractions, then the index-order witness walk."""
+    n = p.n
+    w = coerce_weights(n, weights)
+    # best[v - 1]: heaviest chain of points increasing in both coordinates from v
+    best = [Fraction(0)] * n
+    for v in range(n, 0, -1):
+        best[v - 1] = w[v - 1] + max((best[u - 1] for u in range(v + 1, n + 1)
+                                      if p.position(u) > p.position(v)), default=0)
+    rem = max(best, default=Fraction(0))
+    chosen: list[int] = []
+    last_pos = 0
+    for v in range(1, n + 1):
+        if rem == 0:
+            break
+        if p.position(v) > last_pos and best[v - 1] == rem:
+            chosen.append(v)
+            rem -= w[v - 1]
+            last_pos = p.position(v)
+    return tuple(chosen)

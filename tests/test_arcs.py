@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -358,6 +359,14 @@ def test_mwis_on_raw_models():
         want = brute_solve(gw, "mwis", max_n=16)
         assert got == want.witness
         assert sum(weights[v - 1] for v in got) == want.value
+
+
+def test_mwis_scales_to_a_weighted_model_of_800():
+    mf = generate_model(GeneratorSpec("arcs", 800, 1, {"weights": True}))
+    t0 = time.perf_counter()
+    mwis_circular_arc(mf.model, mf.weights)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.5, f"mwis_circular_arc took {elapsed:.3f} s at n = 800"
 
 
 # -- distances ---------------------------------------------------------------

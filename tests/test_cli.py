@@ -61,8 +61,16 @@ def test_build_output_is_byte_identical(kind, tmp_path, capsys):
 
 
 # sha256 of `isect solve` stdout on weighted `gen --seed 7` files, as printed
-# before the arc and permutation-clique solvers moved onto one witness rule
+# before the arc and permutation-clique solvers moved onto one witness rule;
+# the arc and interval-clique rows, as printed before the weighted solvers
+# moved onto perturbed integer weights
 SOLVE_SHA256 = {
+    ("arcs", "mis", 50): "04a31fdf2bc7107c94039621ae2b839fb507d5206316a1e25d77bed48ea1025d",
+    ("arcs", "mwis", 50): "d8753e301311045ba2e1be55512c4ff54101ac5320d2c2cda0d67c952e144b66",
+    ("arcs", "mis", 100): "94fd7f985b635ff5fe0f89305469a6f74d294313a71e7a4388f410bebb8f19c3",
+    ("arcs", "mwis", 100): "c25d98a185f32d30ad6705df3b1b297701fbab36a6e0674752bcfcca11160a9a",
+    ("interval", "max_clique", 60): "8e97b064fb6a40ee3248124cb24335e0fa83f42eb21a048366b24d9457d91eaa",
+    ("interval", "max_clique", 200): "1babf80519844b4e6c108ecacc2dd5de759960dec7c11062ad2c598c5de044bc",
     ("permutation", "mis", 60): "1c36bc822f7e3186d18bc55da615e3538763c16d4ad0ccf169d8c7b8ab69492d",
     ("permutation", "mwis", 60): "fbcf95f8ddfad9ba184936c70ca4bb511f7663f4fb40e9d438cd10660dae8fbf",
     ("permutation", "max_clique", 60): "b9fbc00ab277fbae5097e4ca8008f76ecfcc64571edf719534b576d9b6de8f2e",
@@ -161,6 +169,17 @@ def test_structured_solve_matches_oracle(kind, problem, tmp_path, capsys):
         else:
             # the same value and the same lexicographically smallest witness
             assert solved == brute, (n, seed)
+
+
+@pytest.mark.parametrize("kind, problem",
+                         [(k, p) for k, p in STRUCTURED if k in ("interval", "arcs")])
+def test_structured_solve_matches_oracle_on_empty_files(kind, problem, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"kind": "{kind}", "items": []}}')
+    rc_s, solved, err = run(capsys, "solve", "--model", str(path), "--problem", problem)
+    rc_o, brute, _ = run(capsys, "oracle", "--model", str(path), "--problem", problem)
+    assert rc_s == rc_o == 0 and err == ""
+    assert solved == brute
 
 
 def test_check_umbrella_hundred_models(capsys):

@@ -4,8 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import complete_graph, cycle_graph, empty_graph, path_graph, star_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    mwis_interval_reference,
+    mwis_permutation_reference,
+    path_graph,
+    star_graph,
+)
+from isect.arcs import ArcModel, build_circular_arc_graph, mwis_circular_arc
 from isect.errors import DisconnectedGraph, MalformedModel, NotSubgraph
 from isect.graph import (
     Graph,
@@ -13,8 +24,13 @@ from isect.graph import (
     cut_vertices_and_blocks,
     hinge_vertices,
     is_tree_t_spanner,
+    lex_trim,
+    lex_weights,
     metrics,
 )
+from isect.intervals import IntervalModel, build_interval_graph, mwis_interval
+from isect.oracles import brute_solve
+from isect.permutations import Permutation, build_permutation_graph, mwis_permutation
 
 
 def test_build_normalizes_edges():
@@ -219,3 +235,79 @@ def test_tree_spanner_stretch_bound_is_exact():
     big = 10 ** 30
     assert is_tree_t_spanner(c4, tree, Fraction(3 * big, big))
     assert not is_tree_t_spanner(c4, tree, Fraction(3 * big - 1, big))
+
+
+# -- the witness rule --------------------------------------------------------
+
+def test_lex_weights_scale_and_perturb():
+    assert lex_weights([]) == []
+    assert lex_weights([Fraction(1)] * 3) == [0b1100, 0b1010, 0b1001]
+    # the common denominator 6 scales 1/2, 2/3 and 0 to 3, 4 and 0
+    assert lex_weights([Fraction(1, 2), Fraction(2, 3), Fraction(0)]) == [
+        3 << 3 | 4, 4 << 3 | 2, 1]
+
+
+def test_lex_weights_order_sets_by_weight_then_first_difference():
+    w = [Fraction(x) for x in (2, 1, 1, 0, 2)]
+    lw = lex_weights(w)
+    sets = [(1,), (1, 2), (1, 3), (2, 3), (5,), (1, 4), (2, 3, 4), (1, 2, 4), (1, 5)]
+    total = {s: sum(lw[v - 1] for v in s) for s in sets}
+    assert len(set(total.values())) == len(sets)
+    for s in sets:
+        for t in sets:
+            true_s, true_t = sum(w[v - 1] for v in s), sum(w[v - 1] for v in t)
+            if true_s != true_t:
+                assert (total[s] > total[t]) == (true_s > true_t)
+            elif s != t:
+                first = min(set(s) ^ set(t))
+                assert (total[s] > total[t]) == (first in s)
+
+
+def test_lex_trim_drops_the_zero_weight_tail():
+    w = [Fraction(x) for x in (0, 1, 0, 0)]
+    assert lex_trim([1, 2, 3, 4], w) == (1, 2)
+    assert lex_trim([3, 4], w) == ()
+    assert lex_trim([], w) == ()
+
+
+def _weights(n: int):
+    # none, unit, small integers with zeros, or rationals with zeros
+    return st.one_of(
+        st.none(),
+        st.just([1] * n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.lists(st.fractions(min_value=0, max_value=5, max_denominator=4),
+                 min_size=n, max_size=n))
+
+
+@st.composite
+def _weighted_models(draw):
+    n = draw(st.integers(0, 12))
+    # half-integer intervals that may share endpoints or touch
+    ends = draw(st.lists(st.tuples(st.integers(0, 2 * n + 1), st.integers(1, 3)),
+                         min_size=n, max_size=n))
+    interval = IntervalModel.build([(Fraction(a, 2), Fraction(a + d, 2)) for a, d in ends])
+    perm = Permutation.build(draw(st.permutations(range(1, n + 1))))
+    pool = draw(st.permutations(range(1, 4 * n + 1)))[:2 * n]
+    arcs = ArcModel.build([(Fraction(pool[2 * k], 2), Fraction(pool[2 * k + 1], 2))
+                           for k in range(n)])
+    return interval, perm, arcs, draw(_weights(n))
+
+
+def _brute_witness(g: Graph, weights) -> tuple[int, ...]:
+    wmap = None if weights is None else dict(enumerate(weights, start=1))
+    return brute_solve(Graph.build(g.n, g.edges, wmap), "mwis", max_n=16).witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weighted_models())
+def test_perturbed_witnesses_equal_the_references_and_the_oracle(case):
+    interval, perm, arcs, weights = case
+    got = mwis_interval(interval, weights)
+    assert got == mwis_interval_reference(interval, weights)
+    assert got == _brute_witness(build_interval_graph(interval), weights)
+    got = mwis_permutation(perm, weights)
+    assert got == mwis_permutation_reference(perm, weights)
+    assert got == _brute_witness(build_permutation_graph(perm), weights)
+    assert mwis_circular_arc(arcs, weights) == _brute_witness(
+        build_circular_arc_graph(arcs), weights)

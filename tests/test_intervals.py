@@ -1,3 +1,4 @@
+import time
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from isect.errors import (
     MalformedModel,
     NotStrict,
 )
+from isect.generators import GeneratorSpec, generate_model
 from isect.graph import Graph, bfs_apsp, bfs_distances, is_tree_t_spanner, metrics
 from isect.intervals import (
     IntervalModel,
@@ -392,6 +394,14 @@ def test_mwis_matches_oracle():
         want = brute_solve(gw, "mwis", max_n=16)
         assert got == want.witness
         assert sum(weights[v - 1] for v in got) == want.value
+
+
+def test_mwis_scales_to_a_weighted_model_of_1600():
+    mf = generate_model(GeneratorSpec("interval", 1600, 1, {"weights": True}))
+    t0 = time.perf_counter()
+    mwis_interval(mf.model, mf.weights)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.25, f"mwis_interval took {elapsed:.3f} s at n = 1600"
 
 
 # -- maximal cliques ---------------------------------------------------------
