@@ -15,6 +15,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
     BadParams,
     InfeasibleProblem,
@@ -58,16 +60,6 @@ def _set_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _is_independent(g: Graph, vs) -> bool:
-    mask = _mask_of(vs)
-    return all(g.adj_bits[v] & mask == 0 for v in vs)
-
-
-def _is_clique(g: Graph, vs) -> bool:
-    mask = _mask_of(vs)
-    return all(g.adj_bits[v] & mask == mask ^ (1 << (v - 1)) for v in vs)
-
-
 def _reach(g: Graph, start_bits: int, mask: int) -> int:
     """start_bits plus every vertex of mask that a path inside mask joins to it."""
     seen = frontier = start_bits
@@ -101,48 +93,53 @@ def _balls(g: Graph, k: int) -> dict[int, int]:
     return cover
 
 
+def _independent_table(n: int, bits) -> np.ndarray:
+    """ok[mask] is True iff no vertex v of mask meets mask in bits[v].
+
+    Built by doubling on the top vertex: a subset holding v as its top
+    vertex passes where the rest passes and misses bits[v].
+    """
+    ok = np.ones(1 << n, dtype=bool)
+    below = np.arange(1 << n >> 1, dtype=np.int64)
+    for v in range(1, n + 1):
+        half = 1 << (v - 1)
+        ok[half:2 * half] = ok[:half] & (below[:half] & bits[v] == 0)
+    return ok
+
+
+def _heaviest_set(n: int, bits, w) -> tuple[int, tuple[int, ...]]:
+    """The heaviest of the subsets no two of whose vertices meet in bits.
+
+    w[v] is vertex v's non-negative integer weight; of equally heavy
+    subsets the smallest sorted vertex tuple wins.  One table entry per
+    subset of 1..n, in int64 unless the weights could overflow it.
+    """
+    total = np.zeros(1 << n, dtype=np.int64 if sum(w) < 2 ** 62 else object)
+    for v in range(1, n + 1):
+        half = 1 << (v - 1)
+        total[half:2 * half] = total[:half] + w[v]
+    score = np.where(_independent_table(n, bits), total, -1)
+    best = score.max()
+    ties = np.flatnonzero(score == best).tolist()
+    return int(best), _set_of(min(ties, key=_set_of))
+
+
 def _solve_mis(g: Graph) -> tuple[object, object]:
-    for size in range(g.n, -1, -1):
-        for combo in combinations(g.vertices(), size):
-            if _is_independent(g, combo):
-                return size, combo
-    return 0, ()
+    return _heaviest_set(g.n, g.adj_bits, [1] * (g.n + 1))
 
 
 def _solve_max_clique(g: Graph) -> tuple[object, object]:
-    for size in range(g.n, -1, -1):
-        for combo in combinations(g.vertices(), size):
-            if _is_clique(g, combo):
-                return size, combo
-    return 0, ()
+    full = (1 << g.n) - 1
+    bits = [0] + [full & ~g.adj_bits[v] & ~(1 << (v - 1)) for v in g.vertices()]
+    return _heaviest_set(g.n, bits, [1] * (g.n + 1))
 
 
 def _solve_mwis(g: Graph) -> tuple[object, object]:
-    n = g.n
-    adj = g.adj_bits
-    weights = [Fraction(0)] * (n + 1)
-    for v in g.vertices():
-        weights[v] = g.weight(v)
-    best_w = Fraction(0)
-    best_set: tuple[int, ...] = ()
-    independent = bytearray(1 << n) if n else bytearray(1)
-    independent[0] = 1
-    total = [Fraction(0)] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        v = low.bit_length()
-        rest = mask ^ low
-        ok = independent[rest] and adj[v] & rest == 0
-        independent[mask] = 1 if ok else 0
-        if not ok:
-            continue
-        w = total[rest] + weights[v]
-        total[mask] = w
-        if w > best_w:
-            best_w, best_set = w, _set_of(mask)
-        elif w == best_w and _set_of(mask) < best_set:
-            best_set = _set_of(mask)
-    return best_w, best_set
+    weights = [g.weight(v) for v in g.vertices()]
+    d = math.lcm(*(x.denominator for x in weights))
+    scaled = [0] + [x.numerator * (d // x.denominator) for x in weights]
+    best, witness = _heaviest_set(g.n, g.adj_bits, scaled)
+    return Fraction(best, d), witness
 
 
 def _canonical_coloring(g: Graph, k: int) -> Optional[tuple[int, ...]]:
@@ -172,9 +169,8 @@ def _canonical_coloring(g: Graph, k: int) -> Optional[tuple[int, ...]]:
 
 
 def _solve_chromatic(g: Graph) -> tuple[object, object]:
-    if g.n == 0:
-        return 0, ()
-    for k in range(1, g.n + 1):
+    # no coloring has fewer colors than the clique number
+    for k in range(_solve_max_clique(g)[0], g.n + 1):
         witness = _canonical_coloring(g, k)
         if witness is not None:
             return k, witness
@@ -280,7 +276,7 @@ def _solve_two_tuple_dominating(g: Graph, k: int = 2) -> tuple[object, object]:
     for size in range(2, g.n + 1):
         for combo in combinations(g.vertices(), size):
             dmask = _mask_of(combo)
-            if all(bin(closed[v] & dmask).count("1") >= 2 for v in g.vertices()):
+            if all((closed[v] & dmask).bit_count() >= 2 for v in g.vertices()):
                 return size, combo
     raise InfeasibleProblem("no 2-tuple dominating set exists")
 
@@ -311,7 +307,7 @@ def _acyclic_within(g: Graph, mask: int) -> bool:
     vs = _set_of(mask)
     edge_count = 0
     for v in vs:
-        edge_count += bin(g.adj_bits[v] & mask).count("1")
+        edge_count += (g.adj_bits[v] & mask).bit_count()
     edge_count //= 2
     comps = 0
     seen = 0
@@ -386,6 +382,9 @@ def brute_solve(g: Graph, problem: str, *, k: Optional[int] = None,
     knc(k), k_dominating(k), distance_k_dominating(k),
     total_k_dominating(k), two_tuple_dominating, steiner_set(targets),
     feedback_vertex_set, next_to_shortest(u, v).
+
+    mis, max_clique and mwis read one numpy table over all 2**n vertex
+    subsets, about 21 bytes a subset (1.4 MB at n = 16); max_n bounds it.
     """
     name = problem.lower()
     simple = {
@@ -435,22 +434,12 @@ def maximal_independent_sets(g: Graph, *, max_n: int = DEFAULT_ORACLE_BOUND
                              ) -> list[tuple[int, ...]]:
     """Every inclusion-maximal independent set, sorted lexicographically."""
     _check_size(g, max_n, "maximal independent set enumeration")
-    n = g.n
-    adj = g.adj_bits
-    out = []
-    independent = bytearray(1 << n) if n else bytearray(1)
-    independent[0] = 1
-    for mask in range(0, 1 << n):
-        if mask:
-            low = mask & -mask
-            rest = mask ^ low
-            if not (independent[rest] and adj[low.bit_length()] & rest == 0):
-                continue
-            independent[mask] = 1
-        if all(adj[w] & mask for w in g.vertices() if not mask >> (w - 1) & 1):
-            out.append(_set_of(mask))
-    out.sort()
-    return out
+    # maximal: independent, and every vertex lies in or next to the set
+    maximal = _independent_table(g.n, g.adj_bits)
+    masks = np.arange(1 << g.n, dtype=np.int64)
+    for v in g.vertices():
+        maximal &= masks & (g.adj_bits[v] | 1 << (v - 1)) != 0
+    return sorted(_set_of(mask) for mask in np.flatnonzero(maximal).tolist())
 
 
 def maximal_cliques_bruteforce(g: Graph, *, max_n: int = DEFAULT_ORACLE_BOUND

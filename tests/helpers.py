@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable
 
 from isect.geom import DiskPoints, KBoxModel, ToleranceRep
 from isect.graph import Graph, WeightsArg, coerce_weights
 from isect.intervals import IntervalModel, overlaps
+from isect.oracles import _canonical_coloring, _set_of
 from isect.permutations import Permutation
 from isect.rng import SplitMix64
 
@@ -131,3 +133,77 @@ def mwis_permutation_reference(p: Permutation, weights: WeightsArg = None) -> tu
             rem -= w[v - 1]
             last_pos = p.position(v)
     return tuple(chosen)
+
+
+# reference set oracles: each tests every candidate set straight from the
+# definition, in the order that makes the first hit the smallest witness
+
+
+def _mask_of(vs) -> int:
+    return sum(1 << (v - 1) for v in vs)
+
+
+def _is_independent(g: Graph, vs) -> bool:
+    mask = _mask_of(vs)
+    return all(g.adj_bits[v] & mask == 0 for v in vs)
+
+
+def _is_clique(g: Graph, vs) -> bool:
+    mask = _mask_of(vs)
+    return all(g.adj_bits[v] & mask == mask ^ (1 << (v - 1)) for v in vs)
+
+
+def mis_reference(g: Graph) -> tuple[int, tuple[int, ...]]:
+    for size in range(g.n, -1, -1):
+        for combo in combinations(g.vertices(), size):
+            if _is_independent(g, combo):
+                return size, combo
+    return 0, ()
+
+
+def max_clique_reference(g: Graph) -> tuple[int, tuple[int, ...]]:
+    for size in range(g.n, -1, -1):
+        for combo in combinations(g.vertices(), size):
+            if _is_clique(g, combo):
+                return size, combo
+    return 0, ()
+
+
+def mwis_reference(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
+    """One pass over every mask in Fractions, with the tuple compare on ties."""
+    n = g.n
+    adj = g.adj_bits
+    best_w = Fraction(0)
+    best_set: tuple[int, ...] = ()
+    independent = bytearray(1 << n)
+    independent[0] = 1
+    total = [Fraction(0)] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        v = low.bit_length()
+        rest = mask ^ low
+        if not (independent[rest] and adj[v] & rest == 0):
+            continue
+        independent[mask] = 1
+        w = total[mask] = total[rest] + g.weight(v)
+        if w > best_w or w == best_w and _set_of(mask) < best_set:
+            best_w, best_set = w, _set_of(mask)
+    return best_w, best_set
+
+
+def chromatic_reference(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """The first k from 1 up that admits a coloring."""
+    if g.n == 0:
+        return 0, ()
+    for k in range(1, g.n + 1):
+        witness = _canonical_coloring(g, k)
+        if witness is not None:
+            return k, witness
+    raise AssertionError("n colors always suffice")
+
+
+def clique_cover_reference(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Color classes of the complement, ordered by color."""
+    k, coloring = chromatic_reference(g.complement())
+    return k, tuple(tuple(v for v, c in enumerate(coloring, start=1) if c == col)
+                    for col in range(1, k + 1))

@@ -96,6 +96,34 @@ def test_solve_output_is_byte_identical(kind, problem, n, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_SHA256[kind, problem, n]
 
 
+# sha256 of `isect oracle` stdout on weighted `gen --seed 7` files, as printed
+# by the oracles that walked `combinations` before the subset table replaced them
+ORACLE_SHA256 = {
+    ("disks", "max_clique", 16): "d2cb180117d5a3cfa91d3928ebba0a7383d3594acd70b60094347d4b7f8b2ce4",
+    ("chords", "mis", 16): "4832527381fc47f0815a089ab3a84d5ef9f2635975cb3a552c76659483729620",
+    ("trapezoid", "mis", 16): "5f724d01977570cfc1b8e7fd7566a712fb3d5f97c11d635fdc4eb3c95471f55d",
+    ("graph", "max_clique", 16): "ac233f9c9bc8757c16f9bd018d6dfa1141c557145bdcf18b05bfe7fe97c0090b",
+    ("permutation", "max_clique", 16): "9724b76a429801c9185241126b081540629180fd39a6aa3af14b73d191d67d4f",
+    ("arcs", "mwis", 16): "799843a61bc1f9d1607ba8c6876cfdcb9981182112480d2641ea2a23fbc23dc9",
+    ("interval", "mis", 16): "2300462f8a9aac43222ce970af950d79eacc8096e329a9484713ae9d081a1da3",
+    ("dotted", "mwis", 16): "1e4e0bde738726121025b222ef222e523cf11ca76e59d414361962863fc98aca",
+    ("graph", "mwis", 14): "1eb921480d3c1cff9eeac0fc757acc81fddef834796a6f9d62095c08972fef60",
+    ("tolerance", "coloring", 12): "ef324923fa83791d41b1a9357d63845144410fa5af3eedd404a9f2d970b13fee",
+    ("boxes", "coloring", 12): "1f4e3d2de617aecee28a57eb21cd56d45690857d33042fdef2b4f56511252ea6",
+    ("chords", "coloring", 12): "80245d62bde9f18315a47574a620a762a4379e89de99825f82d41312b19df8b8",
+}
+
+
+@pytest.mark.parametrize("kind, problem, n", sorted(ORACLE_SHA256))
+def test_oracle_output_is_byte_identical(kind, problem, n, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    mf = generate_model(GeneratorSpec(kind, n, 7, {"weights": True}))
+    path.write_text(emit_model_file(mf))
+    rc, out, err = run(capsys, "oracle", "--model", str(path), "--problem", problem)
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_SHA256[kind, problem, n]
+
+
 def test_gen_is_deterministic(capsys):
     rc1, out1, _ = run(capsys, "gen", "--kind", "trapezoid", "--n", "8",
                        "--seed", "42")

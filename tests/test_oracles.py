@@ -1,24 +1,34 @@
 """Brute-force oracle behaviour, frozen expected values computed by hand."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    chromatic_reference,
+    clique_cover_reference,
     complete_graph,
     cycle_graph,
     empty_graph,
+    max_clique_reference,
+    mis_reference,
+    mwis_reference,
     path_graph,
     random_graph,
     star_graph,
 )
+from isect.cli import _graph_of
 from isect.errors import (
     BadParams,
     InfeasibleProblem,
     InstanceTooLarge,
     UndefinedForDisconnected,
 )
+from isect.generators import GeneratorSpec, generate_model
 from isect.graph import Graph
 from isect.oracles import (
     are_isomorphic_bruteforce,
@@ -83,6 +93,79 @@ def test_min_clique_cover_c5():
         for u in part:
             for v in part:
                 assert u == v or cycle_graph(5).has_edge(u, v)
+
+
+# -- the subset table against the reference oracles ------------------------
+
+# per-vertex weight draws; "huge" alternates two weights whose common
+# denominator scales the odd vertices past 2**62, out of int64
+WEIGHT_DRAWS = {
+    "unit": st.just(1),
+    "small": st.integers(0, 3),
+    "zero": st.just(0),
+    "rational": st.fractions(0, 5, max_denominator=4),
+}
+HUGE = (Fraction(2 ** 70, 3), Fraction(1, 10 ** 30 + 7))
+
+REFERENCES = {
+    "mis": mis_reference,
+    "max_clique": max_clique_reference,
+    "mwis": mwis_reference,
+    "chromatic_number": chromatic_reference,
+    "min_clique_cover": clique_cover_reference,
+}
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    shape = draw(st.sampled_from(["random", "edgeless", "complete"]))
+    if shape == "random":
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [e for e, k in zip(pairs, keep) if k]
+    else:
+        edges = pairs if shape == "complete" else []
+    mix = draw(st.sampled_from(["none", "huge", *sorted(WEIGHT_DRAWS)]))
+    if mix == "none":
+        weights = None
+    elif mix == "huge":
+        weights = {v: HUGE[1 - v % 2] for v in range(1, n + 1)}
+    else:
+        drawn = draw(st.lists(WEIGHT_DRAWS[mix], min_size=n, max_size=n))
+        weights = dict(enumerate(drawn, start=1))
+    return Graph.build(n, edges, weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_graphs())
+@example(Graph.build(0, []))
+@example(Graph.build(3, [(1, 3)], {1: HUGE[0], 2: HUGE[1], 3: HUGE[0]}))
+def test_set_oracles_match_the_references(g):
+    for problem, reference in REFERENCES.items():
+        sol = brute_solve(g, problem)
+        assert (sol.value, sol.witness) == reference(g), problem
+    for problem in ("mis", "max_clique"):
+        assert type(brute_solve(g, problem).value) is int
+
+
+def test_set_oracles_take_a_table_pass_at_n16():
+    graphs = [_graph_of(generate_model(GeneratorSpec(kind, 16, 7, {"weights": True})))
+              for kind in ("chords", "graph")]
+    t0 = time.perf_counter()
+    for g in graphs:
+        brute_solve(g, "mis")
+        brute_solve(g, "max_clique")
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.1, f"mis and max_clique took {elapsed:.3f} s at n = 16"
+
+
+def test_chromatic_search_starts_at_the_clique_number():
+    g = _graph_of(generate_model(GeneratorSpec("tolerance", 14, 1)))
+    t0 = time.perf_counter()
+    brute_solve(g, "chromatic_number")
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.05, f"chromatic_number took {elapsed:.3f} s at n = 14"
 
 
 def test_knc_path():
