@@ -78,8 +78,7 @@ def _graph_of(mf: ModelFile) -> Graph:
     g = _BUILDERS[mf.kind](mf.model)
     if mf.weights is None:
         return g
-    return Graph.build(g.n, g.edges,
-                       dict(enumerate(mf.weights, start=1)))
+    return Graph.build(g.n, g.edge_array, dict(enumerate(mf.weights, start=1)))
 
 
 def _read_model(path: str) -> ModelFile:
@@ -91,7 +90,7 @@ def _read_model(path: str) -> ModelFile:
 
 def _cmd_build(args) -> int:
     g = _graph_of(_read_model(args.model))
-    sys.stdout.write("".join(f"{u} {v}\n" for u, v in g.sorted_edges()))
+    sys.stdout.write(g.edge_text("{u} {v}\n"))
     return 0
 
 

@@ -16,11 +16,11 @@ from .geom import (
     KBoxModel,
     ToleranceRep,
 )
-from .graph import Graph
+from .graph import Graph, pairs_graph
 from .intervals import IntervalModel, build_interval_graph
 from .modelfile import ModelFile
 from .permutations import Permutation
-from .rng import SplitMix64
+from .rng import SplitMix64, outputs
 from .trapezoids import TrapezoidModel
 
 
@@ -117,11 +117,15 @@ def _gen_boxes(rng: SplitMix64, n: int, params) -> KBoxModel:
 
 
 def _gen_graph(rng: SplitMix64, n: int, params) -> Graph:
-    edges = [(i, j)
-             for i in range(1, n + 1)
-             for j in range(i + 1, n + 1)
-             if rng.coin()]
-    return Graph.build(n, edges)
+    # one coin() per pair i < j in row-major order: pair (i, j), 0-based,
+    # takes output k below, and its coin is heads when the top bit is clear
+    start = rng.skip(n * (n - 1) // 2)
+
+    def heads(I, J):
+        k = I * (2 * n - I - 1) // 2 + (J - I)
+        return outputs(start, k) < 1 << 63
+
+    return pairs_graph(n, heads)
 
 
 _GENERATORS = {
@@ -138,12 +142,20 @@ _GENERATORS = {
 }
 
 
+# the largest model size generate_model accepts, for every kind: past it a
+# dense kind's O(n^2) edges and output would not fit in memory
+MAX_N = 10_000
+
+
 def generate_model(spec: GeneratorSpec) -> ModelFile:
-    """Build the model a spec names.  Same spec, same model, always."""
+    """Build the model a spec names.  Same spec, same model, always.
+
+    ``spec.n`` must lie in 1..MAX_N; it is checked before anything is drawn.
+    """
     if spec.kind not in _GENERATORS:
         raise BadParams(f"unknown generator kind {spec.kind!r}")
-    if spec.n < 1:
-        raise BadParams("generator size must be at least 1")
+    if not 1 <= spec.n <= MAX_N:
+        raise BadParams(f"generator size must be in 1..{MAX_N}, got {spec.n}")
     rng = SplitMix64(spec.seed)
     model = _GENERATORS[spec.kind](rng, spec.n, spec.params)
     weights = None

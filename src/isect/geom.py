@@ -324,7 +324,7 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     labels = tuple(g.sorted_edges())
     if not labels:
         raise EmptyGraph("the graph has no edges, so its line graph is empty")
-    u, v = np.array(labels, dtype=np.int64).T
+    u, v = g.edge_array.T
 
     def share(I: np.ndarray, J: np.ndarray) -> np.ndarray:
         return (u[I] == u[J]) | (u[I] == v[J]) | (v[I] == u[J]) | (v[I] == v[J])
@@ -343,10 +343,11 @@ def iterate_line_graph(g: Graph, steps: int, *, max_size: int = 20000) -> list[G
     out: list[Graph] = []
     cur = g
     for _ in range(steps):
-        if len(cur.edges) > max_size:
+        m = len(cur.edge_array)
+        if m > max_size:
             raise SizeBudgetExceeded(
-                f"line graph would have {len(cur.edges)} vertices, cap {max_size}")
-        if cur.edges:
+                f"line graph would have {m} vertices, cap {max_size}")
+        if m:
             cur = line_graph(cur)[0]
         else:
             cur = Graph.build(0, [])

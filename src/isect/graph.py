@@ -1,8 +1,10 @@
 """Undirected graph value type and exact structural utilities.
 
-Vertices are the integers 1..n.  Edges are unordered pairs stored as
-(min, max) tuples.  Optional vertex weights are exact rationals; nothing
-in this module ever goes through floating point.
+Vertices are the integers 1..n.  A graph stores its edges as one int64
+(m, 2) array of (min, max) rows, sorted row-major without duplicates;
+the edge set, adjacency sets and bitmasks are views derived from it on
+first use.  Optional vertex weights are exact rationals; nothing in this
+module ever goes through floating point.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
+from operator import add
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -85,7 +89,11 @@ def _normalize_edge(u: int, v: int, n: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _normalize_edge_array(edges: np.ndarray, n: int) -> frozenset[tuple[int, int]]:
+# vertex ids are stored as int64
+_MAX_VERTICES = (1 << 63) - 1
+
+
+def _normalize_edge_array(edges: np.ndarray, n: int) -> np.ndarray:
     # the checks of _normalize_edge over a whole (m, 2) array at once; the
     # first bad row goes back through it to raise the same error
     if edges.dtype.kind not in "iu" or edges.ndim != 2 or edges.shape[1] != 2:
@@ -95,20 +103,38 @@ def _normalize_edge_array(edges: np.ndarray, n: int) -> frozenset[tuple[int, int
     bad = np.flatnonzero((lo == hi) | (lo < 1) | (hi > n))
     if bad.size:
         _normalize_edge(*edges[bad[0]].tolist(), n)
-    return frozenset(zip(lo.tolist(), hi.tolist()))
+    rows = np.empty((len(lo), 2), dtype=np.int64)
+    rows[:, 0], rows[:, 1] = lo, hi
+    lo, hi = rows.T
+    # rows already strictly increasing, as pairs_graph makes them, skip the sort
+    if not np.all((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))):
+        rows = rows[np.lexsort((hi, lo))]
+        fresh = np.ones(len(rows), dtype=bool)
+        fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+        rows = rows[fresh]
+    return rows
 
 
-@dataclass(frozen=True)
+def _normalize_edge_pairs(edges: Iterable[tuple[int, int]], n: int) -> np.ndarray:
+    pairs = sorted({_normalize_edge(u, v, n) for u, v in edges})
+    return np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
+                       count=2 * len(pairs)).reshape(-1, 2)
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected graph on vertices 1..n.
 
     ``Graph.build`` is the validated entry point.  It takes the edges as
     integer pairs or as one (m, 2) integer array, and checks both alike:
-    integer ends, no self-loop, both ends in 1..n.
+    integer ends, no self-loop, both ends in 1..n.  ``edge_array`` is the
+    stored form; ``edges``, ``adj``, ``adj_bits`` and ``sorted_edges()``
+    are derived from it.  Two graphs are equal when they have the same n,
+    edges and weights.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    edge_array: np.ndarray
     weights: Optional[Mapping[int, Fraction]] = None
 
     @staticmethod
@@ -116,10 +142,13 @@ class Graph:
               weights: Optional[Mapping[int, object]] = None) -> "Graph":
         if n < 0:
             raise MalformedModel(f"vertex count must be non-negative, got {n}")
+        if n > _MAX_VERTICES:
+            raise MalformedModel(f"vertex count {n} is past the 64-bit id range")
         if isinstance(edges, np.ndarray):
-            normalized = _normalize_edge_array(edges, n)
+            rows = _normalize_edge_array(edges, n)
         else:
-            normalized = frozenset(_normalize_edge(u, v, n) for u, v in edges)
+            rows = _normalize_edge_pairs(edges, n)
+        rows.flags.writeable = False
         wmap = None
         if weights is not None:
             wmap = {}
@@ -130,12 +159,26 @@ class Graph:
                 if wf < 0:
                     raise MalformedModel(f"negative weight {wf} at vertex {v}")
                 wmap[v] = wf
-        return Graph(n, normalized, wmap)
+        return Graph(n, rows, wmap)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n == other.n and self.weights == other.weights
+                and np.array_equal(self.edge_array, other.edge_array))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edge_array.tobytes()))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edge set as (min, max) tuples of plain ints."""
+        return frozenset(self.sorted_edges())
 
     @cached_property
     def adj(self) -> dict[int, frozenset[int]]:
         nbrs: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for u, v in self.edges:
+        for u, v in self.sorted_edges():
             nbrs[u].add(v)
             nbrs[v].add(u)
         return {v: frozenset(s) for v, s in nbrs.items()}
@@ -144,7 +187,7 @@ class Graph:
     def adj_bits(self) -> list[int]:
         """Adjacency as bitmasks; bit v-1 of entry u set iff (u,v) is an edge."""
         bits = [0] * (self.n + 1)
-        for u, v in self.edges:
+        for u, v in self.sorted_edges():
             bits[u] |= 1 << (v - 1)
             bits[v] |= 1 << (u - 1)
         return bits
@@ -166,7 +209,31 @@ class Graph:
         return range(1, self.n + 1)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        lo, hi = self.edge_array.T.tolist()
+        return list(zip(lo, hi))
+
+    def edge_text(self, pattern: str, sep: str = "") -> str:
+        """Every edge in order, written as ``pattern`` with its ends in
+        place of ``{u}`` and ``{v}``, joined by ``sep``.
+
+        Each vertex is formatted once, into a table of the vertices the
+        edges name, so the text costs a lookup and a concatenation per edge.
+        """
+        head, rest = pattern.split("{u}")
+        mid, tail = rest.split("{v}")
+        rows = self.edge_array
+        top = int(rows[:, 1].max(initial=0))
+        if top <= rows.size:
+            ids, slots = range(top + 1), rows
+        else:
+            # sparse ids: a table of only the ids in use, not all of 0..top
+            ids, slots = np.unique(rows, return_inverse=True)
+            ids, slots = ids.tolist(), slots.reshape(rows.shape)
+        names = list(map(str, ids))
+        pre = [head + s + mid for s in names]
+        post = [s + tail for s in names]
+        lo, hi = slots.T.tolist()
+        return sep.join(map(add, map(pre.__getitem__, lo), map(post.__getitem__, hi)))
 
     def complement(self) -> "Graph":
         comp = [(u, v) for u in range(1, self.n + 1) for v in range(u + 1, self.n + 1)
@@ -180,7 +247,7 @@ class Graph:
             if not 1 <= v <= self.n:
                 raise MalformedModel(f"vertex {v} outside 1..{self.n}")
         pos = {v: i + 1 for i, v in enumerate(old)}
-        edges = [(pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos]
+        edges = [(pos[u], pos[v]) for u, v in self.sorted_edges() if u in pos and v in pos]
         weights = None
         if self.weights is not None:
             weights = {pos[v]: self.weights[v] for v in old if v in self.weights}

@@ -11,7 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .arcs import ArcModel
 from .errors import IsectError, SchemaError, ValidationError
@@ -213,12 +216,21 @@ def _parse_graph(doc, items):
     raw_edges = _field(rec, "edges", "$.items[0]")
     if not isinstance(raw_edges, list):
         raise SchemaError("edges must be a list", "$.items[0].edges")
-    edges = []
-    for k, e in enumerate(raw_edges):
-        path = f"$.items[0].edges[{k}]"
-        if not isinstance(e, list) or len(e) != 2:
-            raise SchemaError("each edge must be a [u, v] pair", path)
-        edges.append((_integer(e[0], path), _integer(e[1], path)))
+    # JSON holds no int subclass but bool, so `type(x) is int` is _integer's test
+    if not (set(map(type, raw_edges)) <= {list} and set(map(len, raw_edges)) <= {2}
+            and set(map(type, chain.from_iterable(raw_edges))) <= {int}):
+        for k, e in enumerate(raw_edges):
+            path = f"$.items[0].edges[{k}]"
+            if not isinstance(e, list) or len(e) != 2:
+                raise SchemaError("each edge must be a [u, v] pair", path)
+            _integer(e[0], path)
+            _integer(e[1], path)
+    try:
+        edges = np.fromiter(chain.from_iterable(raw_edges), dtype=np.int64,
+                            count=2 * len(raw_edges)).reshape(-1, 2)
+    except OverflowError:
+        # an end past int64 is out of range; the pair path names it
+        edges = raw_edges
     return _wrap(Graph.build, n, edges)
 
 
@@ -273,9 +285,12 @@ _FORMATS = {
             for i, box in enumerate(m.boxes, start=1)]}),
     "graph": (
         _parse_graph,
-        lambda g: {"items": [{"n": g.n,
-                              "edges": [[u, v] for u, v in g.sorted_edges()]}]}),
+        # the edges are written into the text by emit_model_file
+        lambda g: {"items": [{"n": g.n, "edges": []}]}),
 }
+
+# one edge of a graph document as json.dumps(indent=2) lays it out
+_EDGE_JSON = "        [\n          {u},\n          {v}\n        ]"
 
 KINDS = tuple(_FORMATS)
 
@@ -292,4 +307,10 @@ def emit_model_file(mf: ModelFile) -> str:
     doc: dict[str, object] = {"kind": mf.kind, **_FORMATS[mf.kind][1](mf.model)}
     if mf.weights is not None:
         doc["weights"] = [_num_out(w) for w in mf.weights]
-    return json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2) + "\n"
+    if mf.kind == "graph" and len(mf.model.edge_array):
+        # json.dumps with an indent runs its pure-Python encoder, per edge
+        # the slowest step, so the edge block is written from the array
+        edges = mf.model.edge_text(_EDGE_JSON, ",\n")
+        text = text.replace('"edges": []', f'"edges": [\n{edges}\n      ]', 1)
+    return text

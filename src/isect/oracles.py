@@ -472,9 +472,9 @@ def is_at_free(g: Graph, *, max_n: int = DEFAULT_ORACLE_BOUND) -> bool:
 
 def is_comparability_bruteforce(g: Graph, *, max_edges: int = 24) -> bool:
     """Search for a transitive orientation of the edges."""
-    if len(g.edges) > max_edges:
+    if len(g.edge_array) > max_edges:
         raise InstanceTooLarge(
-            f"comparability oracle capped at {max_edges} edges, got {len(g.edges)}")
+            f"comparability oracle capped at {max_edges} edges, got {len(g.edge_array)}")
     edges = g.sorted_edges()
     orient: dict[tuple[int, int], tuple[int, int]] = {}
 

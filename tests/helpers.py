@@ -7,8 +7,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable
 
+import numpy as np
+
 from isect.geom import DiskPoints, KBoxModel, ToleranceRep
-from isect.graph import Graph, WeightsArg, coerce_weights
+from isect.graph import Graph, WeightsArg, _normalize_edge, coerce_weights
 from isect.intervals import IntervalModel, overlaps
 from isect.oracles import _canonical_coloring, _set_of
 from isect.permutations import Permutation
@@ -43,6 +45,33 @@ def random_graph(rng: SplitMix64, n: int, p_num: int = 1, p_den: int = 2) -> Gra
              for j in range(i + 1, n + 1)
              if rng.below(p_den) < p_num]
     return Graph.build(n, edges)
+
+
+# the graph core as it was before the edge array became the stored form: the
+# edge set as a frozenset of (min, max) tuples, and the views built from it
+
+
+def edge_set_reference(n: int, edges) -> frozenset[tuple[int, int]]:
+    """Validated, deduplicated edges of pairs or an (m, 2) array, as a set."""
+    if isinstance(edges, np.ndarray):
+        edges = edges.tolist()
+    return frozenset(_normalize_edge(u, v, n) for u, v in edges)
+
+
+def adj_reference(n: int, edges: frozenset[tuple[int, int]]) -> dict[int, frozenset[int]]:
+    nbrs: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return {v: frozenset(s) for v, s in nbrs.items()}
+
+
+def adj_bits_reference(n: int, edges: frozenset[tuple[int, int]]) -> list[int]:
+    bits = [0] * (n + 1)
+    for u, v in edges:
+        bits[u] |= 1 << (v - 1)
+        bits[v] |= 1 << (u - 1)
+    return bits
 
 
 def pairwise_graph(n: int, pred: Callable[[int, int], bool]) -> Graph:

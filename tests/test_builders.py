@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import box_pred, disk_pred, pairwise_graph, tolerance_pred
+from helpers import box_pred, disk_pred, pairwise_graph, random_graph, tolerance_pred
 from isect import graph
 from isect.arcs import ArcModel, _meet, build_circular_arc_graph
 from isect.errors import MalformedModel
@@ -28,7 +29,7 @@ from isect.geom import (
 )
 from isect.intervals import IntervalModel, build_interval_graph, overlaps
 from isect.permutations import Permutation, build_permutation_graph
-from isect.rng import SplitMix64
+from isect.rng import SplitMix64, outputs
 from isect.trapezoids import TrapezoidModel, build_trapezoid_graph, trapezoids_adjacent
 
 
@@ -240,3 +241,23 @@ BAD_MODELS = {
 def test_constructors_reject_bad_items_as_malformed(case):
     with pytest.raises(MalformedModel):
         BAD_MODELS[case]()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 + 1, 2 ** 63 + 5, 2 ** 64 - 1])
+def test_stream_outputs_equal_successive_draws(seed):
+    rng = SplitMix64(seed)
+    want = [rng.next_u64() for _ in range(50)]
+    ahead = SplitMix64(seed)
+    assert outputs(ahead.skip(50), np.arange(1, 51)).tolist() == want
+    assert ahead.next_u64() == rng.next_u64()
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 100])
+@pytest.mark.parametrize("seed", [1, 3, 2 ** 63 + 5])
+def test_graph_generator_matches_the_coin_loop(n, seed):
+    # one coin per pair in row-major order, then the weight draws that follow
+    rng = SplitMix64(seed)
+    want = random_graph(rng, n)
+    weights = tuple(Fraction(rng.randint(1, 50)) for _ in range(n))
+    mf = generate_model(GeneratorSpec("graph", n, seed, {"weights": True}))
+    assert mf.model == want and mf.weights == weights

@@ -2,13 +2,15 @@
 
 import ast
 import hashlib
+import time
 from pathlib import Path
 
 import pytest
 
 from isect import cli
 from isect.cli import execute
-from isect.generators import GeneratorSpec, generate_model
+from isect.errors import BadParams
+from isect.generators import MAX_N, GeneratorSpec, generate_model
 from isect.modelfile import emit_model_file, parse_model_file
 
 DOTTED_FILE = """
@@ -122,6 +124,93 @@ def test_oracle_output_is_byte_identical(kind, problem, n, tmp_path, capsys):
     rc, out, err = run(capsys, "oracle", "--model", str(path), "--problem", problem)
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_SHA256[kind, problem, n]
+
+
+# sha256 of `isect gen` stdout at seed 7 (key: kind, n), and of the emitted
+# weighted graph at n = 50, seed 3 (key: "graph", 50, "weights"), as written
+# by json.dumps over per-edge lists and a coin() call per pair
+GEN_SHA256 = {
+    ("interval", 60): "f077f79ca919b4aa0c6432d23b16da4b0c7b3dc66632e3c607880b7fd79cda0f",
+    ("arcs", 60): "770818709cd85696d8e46ad364861b00ba709bfb8cb9ad92ce9364bb17a127ae",
+    ("permutation", 60): "032314b0079f4f31f1522cd45df7c3351d6baf901e1ea3001f0d42075919ba1a",
+    ("trapezoid", 60): "79efb9f1a8867187453508e16c03f1ae2f3b2c90ca2c1c82d1073f98cb4050e4",
+    ("dotted", 60): "680513e8a6f51baf44ddfde283be4f5819ba0bc6e8ea074b0d4b210460a16a50",
+    ("tolerance", 60): "2b5b5ea67c87b70102c66286eede92462155b32f3710570ca1d37cb141bcbe98",
+    ("chords", 60): "27ed7d07fcf99e9f5d087aa5398365869d622506b9a41312f861ab4bd4a6acba",
+    ("disks", 60): "ea0b33ae63ad5f8ccd4ffdc346ff0f526af9078871c0ac6951d4882955c8868f",
+    ("boxes", 60): "d1867db541740c43c000786a4091eb09e57bb884880623ea12eb3e4fb626fc80",
+    ("graph", 60): "ded66b0722bdb53ecceada387f1a5b0c5244b12b4d9ccba4e4842456091858e4",
+    ("graph", 1): "f96a103a2d3160d57fadc8597701bdf19ddbc9b590203d03a108003d0cfd3ae4",
+    ("graph", 2): "ec097880a12f6535dc7915c97e78ef7b4dfc2abec73ed1173b6cdc64a9d52217",
+    ("graph", 400): "84f471f9a7e7d42ba8effd07c74fab2e65fdaaaacc8f7c43f6f491dead88a7e9",
+    ("graph", 50, "weights"): "6f438491070dc1494272f33aae7f1d62cd69ea150492790097c3c5852ddd1fc0",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GEN_SHA256, key=str))
+def test_gen_output_is_byte_identical(key, capsys):
+    if key[2:] == ("weights",):
+        out = emit_model_file(generate_model(GeneratorSpec("graph", 50, 3, {"weights": True})))
+    else:
+        rc, out, err = run(capsys, "gen", "--kind", key[0], "--n", str(key[1]), "--seed", "7")
+        assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_SHA256[key]
+    assert emit_model_file(parse_model_file(out)) == out
+
+
+def test_gen_size_is_capped_before_anything_is_drawn(capsys):
+    rc, out, err = run(capsys, "gen", "--kind", "graph", "--n", str(MAX_N + 1))
+    assert rc == 1 and out == ""
+    assert err == f"error: generator size must be in 1..{MAX_N}, got {MAX_N + 1}\n"
+    t0 = time.perf_counter()
+    for kind in ("graph", "interval", "boxes"):
+        with pytest.raises(BadParams):
+            generate_model(GeneratorSpec(kind, 10 ** 6, 1))
+    assert time.perf_counter() - t0 < 0.01
+    assert generate_model(GeneratorSpec("permutation", MAX_N, 1)).model.n == MAX_N
+
+
+# graph-kind files whose edges numpy would misread or could not hold: each
+# keeps the error the per-edge reader gave
+GRAPH_FILE_ERRORS = {
+    "true": ("[[1, 2], [true, 3]]", "$.items[0].edges[1]: expected an integer, got True"),
+    "wide": ("[[1, 2], [1, 2, 3]]", "$.items[0].edges[1]: each edge must be a [u, v] pair"),
+    "huge": (f"[[1, 2], [1, {2 ** 70}]]", f"edge (1, {2 ** 70}) outside vertex range 1..3"),
+    "loop": ("[[1, 2], [2, 2]]", "self-loop at vertex 2"),
+    "float": ("[[1, 2.0]]", "$.items[0].edges[0]: expected an integer, got 2.0"),
+    "string": ('[["1", 2]]', "$.items[0].edges[0]: expected an integer, got '1'"),
+    "object": ('[{"u": 1}]', "$.items[0].edges[0]: each edge must be a [u, v] pair"),
+    "below": ("[[-1, 2]]", "edge (-1, 2) outside vertex range 1..3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_FILE_ERRORS))
+def test_graph_file_errors_keep_their_messages(case, tmp_path, capsys):
+    edges, message = GRAPH_FILE_ERRORS[case]
+    path = tmp_path / "g.json"
+    path.write_text(f'{{"kind": "graph", "items": [{{"n": 3, "edges": {edges}}}]}}')
+    rc, out, err = run(capsys, "build", "--model", str(path))
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_build_prints_a_large_interval_graph_in_budget(tmp_path, capsys):
+    # 829 550 edges; 2.68 s when the edges went through a set of tuples
+    path = tmp_path / "m.json"
+    path.write_text(emit_model_file(generate_model(GeneratorSpec("interval", 1600, 1))))
+    t0 = time.perf_counter()
+    rc, out, _ = run(capsys, "build", "--model", str(path))
+    elapsed = time.perf_counter() - t0
+    assert rc == 0 and out.count("\n") == 829550
+    assert elapsed < 0.8, f"isect build took {elapsed:.3f} s at n = 1600"
+
+
+def test_gen_writes_a_dense_graph_in_budget(capsys):
+    # about 0.35 s with one coin() call per pair and json.dumps per edge
+    t0 = time.perf_counter()
+    rc, _, _ = run(capsys, "gen", "--kind", "graph", "--n", "400")
+    elapsed = time.perf_counter() - t0
+    assert rc == 0
+    assert elapsed < 0.12, f"isect gen took {elapsed:.3f} s for a graph at n = 400"
 
 
 def test_gen_is_deterministic(capsys):

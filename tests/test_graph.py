@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    adj_bits_reference,
+    adj_reference,
     complete_graph,
     cycle_graph,
+    edge_set_reference,
     empty_graph,
     mwis_interval_reference,
     mwis_permutation_reference,
@@ -57,19 +60,21 @@ def test_build_takes_an_edge_array():
     assert Graph.build(3, np.empty((0, 2), dtype=np.int64)).edges == frozenset()
 
 
-@pytest.mark.parametrize("edges", [
-    np.array([[1, 2], [3, 3]]),                      # self-loop
-    np.array([[1, 2], [2, 5]]),                      # end above n
-    np.array([[0, 2]]),                              # end below 1
-    np.array([[1.0, 2.0]]),                          # float dtype
-    np.array([1, 2]),                                # one dimension
-    np.array([[1, 2, 3]]),                           # three columns
-    np.array([[[1, 2]]]),                            # three dimensions
-    np.array([[True, False]]),                       # booleans are not vertices
+@pytest.mark.parametrize("edges, message", [
+    (np.array([[1, 2], [3, 3]]), "self-loop at vertex 3"),
+    (np.array([[1, 2], [2, 5]]), "edge (2, 5) outside vertex range 1..4"),
+    (np.array([[0, 2]]), "edge (0, 2) outside vertex range 1..4"),
+    (np.array([[1.0, 2.0]]), "edge array must be (m, 2) integers, got float64 (1, 2)"),
+    (np.array([1, 2]), "edge array must be (m, 2) integers, got int64 (2,)"),
+    (np.array([[1, 2, 3]]), "edge array must be (m, 2) integers, got int64 (1, 3)"),
+    (np.array([[[1, 2]]]), "edge array must be (m, 2) integers, got int64 (1, 1, 2)"),
+    # booleans are not vertices
+    (np.array([[True, False]]), "edge array must be (m, 2) integers, got bool (1, 2)"),
 ], ids=["loop", "above", "below", "float", "flat", "wide", "deep", "bool"])
-def test_build_rejects_bad_edge_arrays(edges):
-    with pytest.raises(MalformedModel):
+def test_build_rejects_bad_edge_arrays(edges, message):
+    with pytest.raises(MalformedModel) as err:
         Graph.build(4, edges)
+    assert str(err.value) == message
 
 
 def test_edge_array_errors_match_the_pair_path():
@@ -79,6 +84,60 @@ def test_edge_array_errors_match_the_pair_path():
         with pytest.raises(MalformedModel) as by_array:
             Graph.build(4, np.array(edges))
         assert str(by_array.value) == str(by_pairs.value)
+
+
+# -- the stored edge array against the frozenset core it replaced -----------
+
+@st.composite
+def _edge_inputs(draw):
+    """n, and its edges as pairs or as an array: repeated, reversed, unsorted."""
+    n = draw(st.integers(0, 12))
+    pairs = [] if n < 2 else draw(st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1]),
+        max_size=40))
+    form = draw(st.sampled_from(["pairs", "int8", "int32", "int64", "uint16", "uint64"]))
+    if form == "pairs":
+        return n, pairs
+    return n, np.array(pairs, dtype=form).reshape(-1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_inputs())
+@example((0, []))
+@example((0, np.empty((0, 2), dtype=np.int64)))
+@example((5, np.array([[5, 1], [1, 5], [2, 3], [3, 2], [1, 5]])))
+def test_graph_views_equal_the_frozenset_core(case):
+    n, edges = case
+    want = edge_set_reference(n, edges)
+    g = Graph.build(n, edges)
+    assert g.edges == want
+    assert g.sorted_edges() == sorted(want)
+    assert g.adj == adj_reference(n, want)
+    assert g.adj_bits == adj_bits_reference(n, want)
+    assert all(type(x) is int for e in g.edges for x in e)
+    assert all(type(x) is int for e in g.sorted_edges() for x in e)
+    assert all(type(x) is int for nbrs in g.adj.values() for x in nbrs)
+    assert g.edge_array.dtype == np.int64 and g.edge_array.shape == (len(want), 2)
+    assert not g.edge_array.flags.writeable
+    assert g.edge_text("{u} {v}\n") == "".join(f"{u} {v}\n" for u, v in sorted(want))
+    same = Graph.build(n, sorted(want, reverse=True))
+    assert g == same and hash(g) == hash(same)
+    assert g != Graph.build(n + 1, sorted(want))
+    assert g != Graph.build(n, sorted(want), {v: 1 for v in range(1, n + 1)})
+    if want:
+        assert g != Graph.build(n, sorted(want)[1:])
+
+
+def test_edge_text_on_sparse_vertex_ids():
+    # a table over 0..10**12 would not fit; the ids in use are formatted instead
+    g = Graph.build(10 ** 12, [(10 ** 12, 1), (5, 7), (7, 10 ** 12)])
+    assert g.edge_text("{u}-{v}", ",") == "1-1000000000000,5-7,7-1000000000000"
+
+
+def test_build_rejects_vertex_counts_past_int64():
+    with pytest.raises(MalformedModel, match="64-bit"):
+        Graph.build(2 ** 63, [])
+    assert Graph.build(2 ** 63 - 1, [(1, 2 ** 63 - 1)]).sorted_edges() == [(1, 2 ** 63 - 1)]
 
 
 def test_build_rejects_negative_weight():
