@@ -8,6 +8,7 @@ lexicographically sorted, so output diffs cleanly across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -345,6 +346,9 @@ def _cmd_gen(args) -> int:
 
 # -- entry point -------------------------------------------------------------
 
+# built on the first execute, not at import, and reused: argparse keeps no
+# state between parse_args calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     def count(text: str) -> int:
         # argparse names this function in its "invalid count value" message

@@ -18,7 +18,7 @@ from .geom import (
 )
 from .graph import Graph, pairs_graph
 from .intervals import IntervalModel, build_interval_graph
-from .modelfile import ModelFile
+from .modelfile import MAX_N, ModelFile
 from .permutations import Permutation
 from .rng import SplitMix64, outputs
 from .trapezoids import TrapezoidModel
@@ -140,11 +140,6 @@ _GENERATORS = {
     "boxes": _gen_boxes,
     "graph": _gen_graph,
 }
-
-
-# the largest model size generate_model accepts, for every kind: past it a
-# dense kind's O(n^2) edges and output would not fit in memory
-MAX_N = 10_000
 
 
 def generate_model(spec: GeneratorSpec) -> ModelFile:

@@ -31,6 +31,11 @@ from .intervals import IntervalModel
 from .permutations import Permutation
 from .trapezoids import TrapezoidModel
 
+# the most vertices a model file may hold, and the largest model gen makes:
+# past it a dense kind's O(n^2) edges and output would not fit in memory
+MAX_N = 10_000
+
+
 @dataclass(frozen=True)
 class ModelFile:
     """A parsed model document: the tag, the typed model, the extras."""
@@ -153,6 +158,10 @@ def parse_model_file(text: str) -> ModelFile:
         raise SchemaError("items must be a list", "$.items")
     model = _FORMATS[kind][0](doc, items)
     n = getattr(model, "n", len(items))
+    # a graph takes n from a field, and _weights makes n values
+    if n > MAX_N:
+        raise SchemaError(f"a model file holds at most {MAX_N} vertices, got {n}",
+                          "$.items")
     return ModelFile(kind, model, _weights(doc, n))
 
 

@@ -178,129 +178,84 @@ def _solve_chromatic(g: Graph) -> tuple[object, object]:
 
 
 def _solve_clique_cover(g: Graph) -> tuple[object, object]:
-    comp = g.complement()
-    k, coloring = _solve_chromatic(comp)
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(coloring, start=1):
-        classes.setdefault(c, []).append(v)
-    parts = tuple(tuple(classes[c]) for c in sorted(classes))
-    return k, parts
+    k, coloring = _solve_chromatic(g.complement())
+    return k, tuple(tuple(v for v, c in enumerate(coloring, start=1) if c == col)
+                    for col in range(1, k + 1))
 
 
-def _min_cover(universe: int, cover: dict[int, int],
-               candidates: list[int]) -> tuple[int, ...]:
-    """Smallest subset of candidates whose cover masks union to universe."""
-    for size in range(len(candidates) + 1):
-        for combo in combinations(candidates, size):
-            got = 0
-            for z in combo:
-                got |= cover[z]
-            if got & universe == universe:
-                return combo
-    raise InfeasibleProblem("no subset of the candidates covers everything")
+def _first_set(candidates, ok, start: int = 0) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The first (size, combo) whose vertex mask ok accepts, or None.
+
+    Combos of candidates go by size from start, then lexicographically,
+    so a hit has the fewest vertices and the smallest sorted tuple.
+    """
+    bits = [1 << (v - 1) for v in candidates]
+    for size in range(start, len(candidates) + 1):
+        for combo, chosen in zip(combinations(candidates, size), combinations(bits, size)):
+            if ok(sum(chosen)):
+                return size, combo
+    return None
+
+
+def _meets(needs):
+    """Accepts a vertex mask that meets every mask in needs."""
+    return lambda chosen: all(map(chosen.__and__, needs))
 
 
 def _solve_knc(g: Graph, k: int) -> tuple[object, object]:
     if k < 1:
         raise BadParams(f"neighbourhood cover radius must be >= 1, got {k}")
-    edges = g.sorted_edges()
-    if not edges:
-        return 0, ()
-    dist = bfs_apsp(g)
-    cover = {}
-    for z in g.vertices():
-        mask = 0
-        for idx, (x, y) in enumerate(edges):
-            dx = dist[z - 1][x - 1]
-            dy = dist[z - 1][y - 1]
-            if dx is not None and dx <= k and dy is not None and dy <= k:
-                mask |= 1 << idx
-        cover[z] = mask
-    combo = _min_cover((1 << len(edges)) - 1, cover, list(g.vertices()))
-    return len(combo), combo
+    balls = _balls(g, k)
+    # z covers edge xy when x and y lie in z's ball, that is z in both balls
+    needs = [balls[x] & balls[y] for x, y in g.sorted_edges()]
+    return _first_set(g.vertices(), _meets(needs))
 
 
 def _solve_k_dominating(g: Graph, k: int) -> tuple[object, object]:
+    # each vertex lies in its own ball, so this also serves
+    # distance_k_dominating, which asks D plus the balls of D to cover V
     if k < 1:
         raise BadParams(f"domination radius must be >= 1, got {k}")
-    if g.n == 0:
-        return 0, ()
-    cover = _balls(g, k)
-    combo = _min_cover((1 << g.n) - 1, cover, list(g.vertices()))
-    return len(combo), combo
-
-
-def _solve_distance_k_dominating(g: Graph, k: int) -> tuple[object, object]:
-    if k < 1:
-        raise BadParams(f"domination radius must be >= 1, got {k}")
-    if g.n == 0:
-        return 0, ()
-    cover = _balls(g, k)
-    everything = (1 << g.n) - 1
-    for size in range(0, g.n + 1):
-        for combo in combinations(g.vertices(), size):
-            dmask = _mask_of(combo)
-            got = dmask
-            for z in combo:
-                got |= cover[z]
-            if got == everything:
-                return size, combo
-    raise AssertionError("D = V always works")
+    return _first_set(g.vertices(), _meets(_balls(g, k).values()))
 
 
 def _solve_total_k_dominating(g: Graph, k: int) -> tuple[object, object]:
     if k < 1:
         raise BadParams(f"domination radius must be >= 1, got {k}")
-    cover = _balls(g, k)
-    everything = (1 << g.n) - 1
-    for size in range(2, g.n + 1):
-        for combo in combinations(g.vertices(), size):
-            got = 0
-            for z in combo:
-                got |= cover[z]
-            if got != everything:
-                continue
-            dmask = _mask_of(combo)
-            if all(cover[u] & (dmask ^ (1 << (u - 1))) for u in combo):
-                return size, combo
-    raise InfeasibleProblem(
-        f"no total {k}-dominating set exists (isolated or tiny graph)")
+    # every vertex, in D or not, needs a vertex of D other than itself in its ball
+    needs = [ball & ~(1 << (z - 1)) for z, ball in _balls(g, k).items()]
+    found = _first_set(g.vertices(), _meets(needs), start=2)
+    if found is None:
+        raise InfeasibleProblem(
+            f"no total {k}-dominating set exists (isolated or tiny graph)")
+    return found
 
 
-def _solve_two_tuple_dominating(g: Graph, k: int = 2) -> tuple[object, object]:
+def _solve_two_tuple_dominating(g: Graph, k: int) -> tuple[object, object]:
     if k != 2:
         raise BadParams(f"tuple domination implemented for k=2, got {k}")
     if any(g.degree(v) < 1 for v in g.vertices()):
         raise InfeasibleProblem("a vertex with closed neighbourhood smaller than 2")
-    closed = {v: g.adj_bits[v] | (1 << (v - 1)) for v in g.vertices()}
-    for size in range(2, g.n + 1):
-        for combo in combinations(g.vertices(), size):
-            dmask = _mask_of(combo)
-            if all((closed[v] & dmask).bit_count() >= 2 for v in g.vertices()):
-                return size, combo
-    raise InfeasibleProblem("no 2-tuple dominating set exists")
+    closed = [g.adj_bits[v] | (1 << (v - 1)) for v in g.vertices()]
+    found = _first_set(g.vertices(), lambda chosen: all(
+        (c & chosen).bit_count() >= 2 for c in closed), start=2)
+    if found is None:
+        raise InfeasibleProblem("no 2-tuple dominating set exists")
+    return found
 
 
 def _solve_steiner(g: Graph, targets: tuple[int, ...]) -> tuple[object, object]:
-    tset = sorted(set(targets))
-    if not tset:
+    """targets: sorted, without repeats."""
+    if not targets:
         raise BadParams("steiner set needs at least one target")
-    for t in tset:
+    for t in targets:
         if not 1 <= t <= g.n:
             raise BadParams(f"target {t} outside 1..{g.n}")
-    comp_of = {}
-    for i, comp in enumerate(g.components()):
-        for v in comp:
-            comp_of[v] = i
-    if len({comp_of[t] for t in tset}) > 1:
+    tmask = _mask_of(targets)
+    if _reach(g, tmask & -tmask, (1 << g.n) - 1) & tmask != tmask:
         raise UndefinedForDisconnected("targets fall in different components")
-    tmask = _mask_of(tset)
-    rest = [v for v in g.vertices() if v not in set(tset)]
-    for size in range(0, len(rest) + 1):
-        for combo in combinations(rest, size):
-            if _mask_connected(g, tmask | _mask_of(combo)):
-                return size, combo
-    raise AssertionError("whole component connects the targets")
+    rest = [v for v in g.vertices() if not tmask >> (v - 1) & 1]
+    return _first_set(rest, lambda chosen: _mask_connected(g, tmask | chosen))
 
 
 def _acyclic_within(g: Graph, mask: int) -> bool:
@@ -322,11 +277,7 @@ def _acyclic_within(g: Graph, mask: int) -> bool:
 
 def _solve_fvs(g: Graph) -> tuple[object, object]:
     everything = (1 << g.n) - 1
-    for size in range(0, g.n + 1):
-        for combo in combinations(g.vertices(), size):
-            if _acyclic_within(g, everything & ~_mask_of(combo)):
-                return size, combo
-    raise AssertionError("removing all vertices leaves a forest")
+    return _first_set(g.vertices(), lambda chosen: _acyclic_within(g, everything & ~chosen))
 
 
 def _solve_next_to_shortest(g: Graph, u: int, v: int) -> tuple[object, object]:
@@ -371,6 +322,44 @@ def _solve_next_to_shortest(g: Graph, u: int, v: int) -> tuple[object, object]:
     return math.inf, None
 
 
+def _given(name: str, what: str, value):
+    if value is None:
+        raise BadParams(f"{name} needs {what}")
+    return value
+
+
+def _no_params(name, k, targets, u, v) -> tuple:
+    return ()
+
+
+def _radius(name, k, targets, u, v) -> tuple:
+    return (("k", _given(name, "parameter k", k)),)
+
+
+# problem -> (solver, parameter reader).  The reader turns brute_solve's
+# keywords into the (name, value) pairs the solution records, raising
+# BadParams for a missing one; the solver takes the values in order.
+_PROBLEMS = {
+    "mis": (_solve_mis, _no_params),
+    "mwis": (_solve_mwis, _no_params),
+    "max_clique": (_solve_max_clique, _no_params),
+    "chromatic_number": (_solve_chromatic, _no_params),
+    "min_clique_cover": (_solve_clique_cover, _no_params),
+    "feedback_vertex_set": (_solve_fvs, _no_params),
+    "knc": (_solve_knc, _radius),
+    "k_dominating": (_solve_k_dominating, _radius),
+    "distance_k_dominating": (_solve_k_dominating, _radius),
+    "total_k_dominating": (_solve_total_k_dominating, _radius),
+    "two_tuple_dominating": (_solve_two_tuple_dominating, lambda name, k, targets, u, v: (
+        ("k", 2 if k is None else k),)),
+    "steiner_set": (_solve_steiner, lambda name, k, targets, u, v: (
+        ("targets", tuple(sorted(set(_given(name, "targets", targets))))),)),
+    "next_to_shortest": (_solve_next_to_shortest, lambda name, k, targets, u, v: (
+        ("u", _given(name, "endpoints u and v", u)),
+        ("v", _given(name, "endpoints u and v", v)))),
+}
+
+
 def brute_solve(g: Graph, problem: str, *, k: Optional[int] = None,
                 targets: Optional[tuple[int, ...]] = None,
                 u: Optional[int] = None, v: Optional[int] = None,
@@ -385,49 +374,16 @@ def brute_solve(g: Graph, problem: str, *, k: Optional[int] = None,
 
     mis, max_clique and mwis read one numpy table over all 2**n vertex
     subsets, about 21 bytes a subset (1.4 MB at n = 16); max_n bounds it.
+    The size cap is checked before the parameters.
     """
     name = problem.lower()
-    simple = {
-        "mis": _solve_mis,
-        "mwis": _solve_mwis,
-        "max_clique": _solve_max_clique,
-        "chromatic_number": _solve_chromatic,
-        "min_clique_cover": _solve_clique_cover,
-        "feedback_vertex_set": _solve_fvs,
-    }
-    if name in simple:
-        _check_size(g, max_n, name)
-        value, witness = simple[name](g)
-        return BruteSolution(name, value, witness)
-    if name in {"knc", "k_dominating", "distance_k_dominating", "total_k_dominating"}:
-        _check_size(g, max_n, name)
-        if k is None:
-            raise BadParams(f"{name} needs parameter k")
-        fn = {
-            "knc": _solve_knc,
-            "k_dominating": _solve_k_dominating,
-            "distance_k_dominating": _solve_distance_k_dominating,
-            "total_k_dominating": _solve_total_k_dominating,
-        }[name]
-        value, witness = fn(g, k)
-        return BruteSolution(name, value, witness, (("k", k),))
-    if name == "two_tuple_dominating":
-        _check_size(g, max_n, name)
-        value, witness = _solve_two_tuple_dominating(g, 2 if k is None else k)
-        return BruteSolution(name, value, witness, (("k", 2 if k is None else k),))
-    if name == "steiner_set":
-        _check_size(g, max_n, name)
-        if targets is None:
-            raise BadParams("steiner_set needs targets")
-        value, witness = _solve_steiner(g, tuple(targets))
-        return BruteSolution(name, value, witness, (("targets", tuple(sorted(set(targets)))),))
-    if name == "next_to_shortest":
-        _check_size(g, max_n_paths, name)
-        if u is None or v is None:
-            raise BadParams("next_to_shortest needs endpoints u and v")
-        value, witness = _solve_next_to_shortest(g, u, v)
-        return BruteSolution(name, value, witness, (("u", u), ("v", v)))
-    raise BadParams(f"unknown problem {problem!r}")
+    if name not in _PROBLEMS:
+        raise BadParams(f"unknown problem {problem!r}")
+    solver, read = _PROBLEMS[name]
+    _check_size(g, max_n_paths if name == "next_to_shortest" else max_n, name)
+    params = read(name, k, targets, u, v)
+    value, witness = solver(g, *(x for _, x in params))
+    return BruteSolution(name, value, witness, params)
 
 
 def maximal_independent_sets(g: Graph, *, max_n: int = DEFAULT_ORACLE_BOUND

@@ -5,14 +5,26 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from isect.errors import BadParams, InfeasibleProblem, UndefinedForDisconnected
 from isect.geom import DiskPoints, KBoxModel, ToleranceRep
-from isect.graph import Graph, WeightsArg, _normalize_edge, coerce_weights
+from isect.graph import Graph, WeightsArg, _normalize_edge, bfs_apsp, coerce_weights
 from isect.intervals import IntervalModel, overlaps
-from isect.oracles import _canonical_coloring, _set_of
+from isect.oracles import (
+    DEFAULT_ORACLE_BOUND,
+    DEFAULT_PATH_ORACLE_BOUND,
+    BruteSolution,
+    _acyclic_within,
+    _balls,
+    _canonical_coloring,
+    _check_size,
+    _mask_connected,
+    _set_of,
+    _solve_next_to_shortest,
+)
 from isect.permutations import Permutation
 from isect.rng import SplitMix64
 
@@ -236,3 +248,181 @@ def clique_cover_reference(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     k, coloring = chromatic_reference(g.complement())
     return k, tuple(tuple(v for v, c in enumerate(coloring, start=1) if c == col)
                     for col in range(1, k + 1))
+
+
+# reference minimum-set oracles: one size-then-lexicographic loop per
+# problem, and brute_solve's dispatch as an if-chain over the references
+
+
+def _min_cover(universe: int, cover: dict[int, int],
+               candidates: list[int]) -> tuple[int, ...]:
+    """Smallest subset of candidates whose cover masks union to universe."""
+    for size in range(len(candidates) + 1):
+        for combo in combinations(candidates, size):
+            got = 0
+            for z in combo:
+                got |= cover[z]
+            if got & universe == universe:
+                return combo
+    raise InfeasibleProblem("no subset of the candidates covers everything")
+
+
+def knc_reference(g: Graph, k: int) -> tuple[object, object]:
+    if k < 1:
+        raise BadParams(f"neighbourhood cover radius must be >= 1, got {k}")
+    edges = g.sorted_edges()
+    if not edges:
+        return 0, ()
+    dist = bfs_apsp(g)
+    cover = {}
+    for z in g.vertices():
+        mask = 0
+        for idx, (x, y) in enumerate(edges):
+            dx = dist[z - 1][x - 1]
+            dy = dist[z - 1][y - 1]
+            if dx is not None and dx <= k and dy is not None and dy <= k:
+                mask |= 1 << idx
+        cover[z] = mask
+    combo = _min_cover((1 << len(edges)) - 1, cover, list(g.vertices()))
+    return len(combo), combo
+
+
+def k_dominating_reference(g: Graph, k: int) -> tuple[object, object]:
+    if k < 1:
+        raise BadParams(f"domination radius must be >= 1, got {k}")
+    if g.n == 0:
+        return 0, ()
+    cover = _balls(g, k)
+    combo = _min_cover((1 << g.n) - 1, cover, list(g.vertices()))
+    return len(combo), combo
+
+
+def distance_k_dominating_reference(g: Graph, k: int) -> tuple[object, object]:
+    if k < 1:
+        raise BadParams(f"domination radius must be >= 1, got {k}")
+    if g.n == 0:
+        return 0, ()
+    cover = _balls(g, k)
+    everything = (1 << g.n) - 1
+    for size in range(0, g.n + 1):
+        for combo in combinations(g.vertices(), size):
+            dmask = _mask_of(combo)
+            got = dmask
+            for z in combo:
+                got |= cover[z]
+            if got == everything:
+                return size, combo
+    raise AssertionError("D = V always works")
+
+
+def total_k_dominating_reference(g: Graph, k: int) -> tuple[object, object]:
+    if k < 1:
+        raise BadParams(f"domination radius must be >= 1, got {k}")
+    cover = _balls(g, k)
+    everything = (1 << g.n) - 1
+    for size in range(2, g.n + 1):
+        for combo in combinations(g.vertices(), size):
+            got = 0
+            for z in combo:
+                got |= cover[z]
+            if got != everything:
+                continue
+            dmask = _mask_of(combo)
+            if all(cover[u] & (dmask ^ (1 << (u - 1))) for u in combo):
+                return size, combo
+    raise InfeasibleProblem(
+        f"no total {k}-dominating set exists (isolated or tiny graph)")
+
+
+def two_tuple_dominating_reference(g: Graph, k: int = 2) -> tuple[object, object]:
+    if k != 2:
+        raise BadParams(f"tuple domination implemented for k=2, got {k}")
+    if any(g.degree(v) < 1 for v in g.vertices()):
+        raise InfeasibleProblem("a vertex with closed neighbourhood smaller than 2")
+    closed = {v: g.adj_bits[v] | (1 << (v - 1)) for v in g.vertices()}
+    for size in range(2, g.n + 1):
+        for combo in combinations(g.vertices(), size):
+            dmask = _mask_of(combo)
+            if all((closed[v] & dmask).bit_count() >= 2 for v in g.vertices()):
+                return size, combo
+    raise InfeasibleProblem("no 2-tuple dominating set exists")
+
+
+def steiner_reference(g: Graph, targets: tuple[int, ...]) -> tuple[object, object]:
+    tset = sorted(set(targets))
+    if not tset:
+        raise BadParams("steiner set needs at least one target")
+    for t in tset:
+        if not 1 <= t <= g.n:
+            raise BadParams(f"target {t} outside 1..{g.n}")
+    comp_of = {}
+    for i, comp in enumerate(g.components()):
+        for v in comp:
+            comp_of[v] = i
+    if len({comp_of[t] for t in tset}) > 1:
+        raise UndefinedForDisconnected("targets fall in different components")
+    tmask = _mask_of(tset)
+    rest = [v for v in g.vertices() if v not in set(tset)]
+    for size in range(0, len(rest) + 1):
+        for combo in combinations(rest, size):
+            if _mask_connected(g, tmask | _mask_of(combo)):
+                return size, combo
+    raise AssertionError("whole component connects the targets")
+
+
+def fvs_reference(g: Graph) -> tuple[object, object]:
+    everything = (1 << g.n) - 1
+    for size in range(0, g.n + 1):
+        for combo in combinations(g.vertices(), size):
+            if _acyclic_within(g, everything & ~_mask_of(combo)):
+                return size, combo
+    raise AssertionError("removing all vertices leaves a forest")
+
+
+def brute_solve_reference(g: Graph, problem: str, *, k: Optional[int] = None,
+                          targets: Optional[tuple[int, ...]] = None,
+                          u: Optional[int] = None, v: Optional[int] = None,
+                          max_n: int = DEFAULT_ORACLE_BOUND,
+                          max_n_paths: int = DEFAULT_PATH_ORACLE_BOUND) -> BruteSolution:
+    name = problem.lower()
+    simple = {
+        "mis": mis_reference,
+        "mwis": mwis_reference,
+        "max_clique": max_clique_reference,
+        "chromatic_number": chromatic_reference,
+        "min_clique_cover": clique_cover_reference,
+        "feedback_vertex_set": fvs_reference,
+    }
+    if name in simple:
+        _check_size(g, max_n, name)
+        value, witness = simple[name](g)
+        return BruteSolution(name, value, witness)
+    if name in {"knc", "k_dominating", "distance_k_dominating", "total_k_dominating"}:
+        _check_size(g, max_n, name)
+        if k is None:
+            raise BadParams(f"{name} needs parameter k")
+        fn = {
+            "knc": knc_reference,
+            "k_dominating": k_dominating_reference,
+            "distance_k_dominating": distance_k_dominating_reference,
+            "total_k_dominating": total_k_dominating_reference,
+        }[name]
+        value, witness = fn(g, k)
+        return BruteSolution(name, value, witness, (("k", k),))
+    if name == "two_tuple_dominating":
+        _check_size(g, max_n, name)
+        value, witness = two_tuple_dominating_reference(g, 2 if k is None else k)
+        return BruteSolution(name, value, witness, (("k", 2 if k is None else k),))
+    if name == "steiner_set":
+        _check_size(g, max_n, name)
+        if targets is None:
+            raise BadParams("steiner_set needs targets")
+        value, witness = steiner_reference(g, tuple(targets))
+        return BruteSolution(name, value, witness, (("targets", tuple(sorted(set(targets)))),))
+    if name == "next_to_shortest":
+        _check_size(g, max_n_paths, name)
+        if u is None or v is None:
+            raise BadParams("next_to_shortest needs endpoints u and v")
+        value, witness = _solve_next_to_shortest(g, u, v)
+        return BruteSolution(name, value, witness, (("u", u), ("v", v)))
+    raise BadParams(f"unknown problem {problem!r}")

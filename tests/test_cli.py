@@ -1,17 +1,23 @@
 """Command dispatch, exit codes, stable output, dual-path agreement."""
 
+import argparse
 import ast
 import hashlib
+import io
+import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isect import cli
 from isect.cli import execute
-from isect.errors import BadParams
+from isect.errors import BadParams, IsectError
 from isect.generators import MAX_N, GeneratorSpec, generate_model
-from isect.modelfile import emit_model_file, parse_model_file
+from isect.modelfile import KINDS, emit_model_file, parse_model_file
 
 DOTTED_FILE = """
 {"kind": "dotted", "items": [
@@ -370,6 +376,123 @@ def test_solve_without_structured_path_fails_cleanly(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     rc, _, _ = run(capsys, "--help")
     assert rc == 0
+
+
+# -- hostile model files -----------------------------------------------------
+
+HOSTILE_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-3, 12),
+    st.integers(-2 ** 70, 2 ** 70), st.integers(10 ** 8, 10 ** 18),
+    st.sampled_from(["1/0", "inf", "1e999", "-3/2", "0x10", " 7", "nan", "", "id"]),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 12), max_size=4),
+    st.dictionaries(st.sampled_from(["id", "n", "a", "1", "x"]), st.integers(-3, 12),
+                    max_size=3),
+)
+
+# one weighted and one plain command per reader path, and the oracle
+HOSTILE_COMMANDS = (
+    ("build",), ("solve", "--problem", "mwis"), ("solve", "--problem", "max_clique"),
+    ("solve", "--problem", "coloring"), ("oracle", "--problem", "mwis"),
+    ("oracle", "--problem", "coloring"),
+)
+
+
+def _slots(node, path=()):
+    """The path to node and to every value inside it."""
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _slots(child, path + (key,))
+
+
+@st.composite
+def hostile_documents(draw):
+    """A generated model file, its weights listed or keyed by id, with one to
+    three values replaced, deleted or added anywhere in it, and now and then
+    its text cut short."""
+    spec = GeneratorSpec(draw(st.sampled_from(KINDS)), draw(st.integers(1, 5)),
+                         draw(st.integers(0, 99)), {"weights": draw(st.booleans())})
+    doc = json.loads(emit_model_file(generate_model(spec)))
+    if "weights" in doc and draw(st.booleans()):
+        doc["weights"] = {str(v): w for v, w in enumerate(doc["weights"], start=1)}
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_slots(doc))))
+        value = draw(HOSTILE_VALUES)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            parent[path[-1]] = value
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(["extra", "n", "r", "weights", "id"]))] = value
+        else:
+            parent.append(value)
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_documents())
+@example('{"kind": "graph", "items": [{"n": 4611686018427387904, "edges": []}],'
+         ' "weights": {}}')
+def test_hostile_model_files_give_errors_not_tracebacks(tmp_path_factory, text):
+    try:
+        parse_model_file(text)
+    except IsectError:
+        pass
+    path = tmp_path_factory.getbasetemp() / "hostile.json"
+    path.write_text(text)
+    for command in HOSTILE_COMMANDS:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            rc = execute([command[0], "--model", str(path), *command[1:]])
+        assert rc in (0, 1, 2), (command, text)
+
+
+def test_model_files_hold_at_most_max_n_vertices(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    for n in (MAX_N + 1, 2 ** 62):
+        path.write_text(json.dumps({"kind": "graph", "items": [{"n": n, "edges": []}],
+                                    "weights": {}}))
+        rc, out, err = run(capsys, "build", "--model", str(path))
+        assert (rc, out) == (1, "")
+        assert err == f"error: $.items: a model file holds at most {MAX_N} vertices, got {n}\n"
+    path.write_text(json.dumps({"kind": "permutation",
+                                "items": [{"pi": list(range(1, MAX_N + 2))}]}))
+    assert run(capsys, "build", "--model", str(path))[0] == 1
+    path.write_text(json.dumps({"kind": "graph", "items": [{"n": MAX_N, "edges": [[1, 2]]}],
+                                "weights": {"3": 2}}))
+    assert run(capsys, "build", "--model", str(path)) == (0, "1 2\n", "")
+
+
+def test_parser_is_built_once_and_keeps_its_bytes(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "dotted.json"
+    path.write_text(DOTTED_FILE)
+    argvs = [("solve", "--model", str(path), "--problem", "mwsi"), ("--help",),
+             ("build", "--model", str(path)), ("gen", "--kind", "interval")]
+    first = [run(capsys, *argv) for argv in argvs]
+    assert [rc for rc, _, _ in first] == [2, 0, 0, 2]
+    assert "invalid choice: 'mwsi'" in first[0][2] and first[1][1].startswith("usage: isect")
+    assert first[2] == (0, "1 2\n1 3\n2 3\n4 5\n", "")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert [run(capsys, *argv) for argv in argvs * 2] == first * 2
+    assert built == []
 
 
 def test_package_has_no_assert_statements():

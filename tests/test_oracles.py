@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    brute_solve_reference,
     chromatic_reference,
     clique_cover_reference,
     complete_graph,
@@ -166,6 +167,54 @@ def test_chromatic_search_starts_at_the_clique_number():
     brute_solve(g, "chromatic_number")
     elapsed = time.perf_counter() - t0
     assert elapsed < 0.05, f"chromatic_number took {elapsed:.3f} s at n = 14"
+
+
+# -- brute_solve against its if-chain and per-problem loops -----------------
+
+PROBLEMS = ("mis", "mwis", "max_clique", "chromatic_number", "min_clique_cover",
+            "knc", "k_dominating", "distance_k_dominating", "total_k_dominating",
+            "two_tuple_dominating", "steiner_set", "feedback_vertex_set",
+            "next_to_shortest")
+
+
+def _outcome(solve, g, problem, **kw):
+    try:
+        sol = solve(g, problem, **kw)
+    except Exception as exc:  # the error's type and text are the outcome
+        return type(exc), str(exc)
+    return sol.problem, sol.value, sol.witness, sol.params
+
+
+@st.composite
+def oracle_cases(draw):
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    g = Graph.build(n, [e for e, k in zip(pairs, keep) if k], dict(enumerate(weights, 1)))
+    vertex = st.integers(1, max(n, 1))
+    targets = draw(st.lists(vertex, min_size=1, max_size=4))
+    return g, tuple(targets), draw(vertex), draw(vertex)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_cases())
+@example((Graph.build(0, []), (1,), 1, 1))
+@example((Graph.build(1, []), (1,), 1, 1))
+@example((Graph.build(2, [(1, 2)]), (2, 1, 2), 1, 2))
+@example((Graph.build(4, [(1, 2), (3, 4)]), (1, 4), 1, 4))
+@example((Graph.build(13, [(1, 2)]), (1,), 1, 2))
+@example((Graph.build(17, []), (1,), 1, 2))
+def test_brute_solve_matches_the_reference_oracles(case):
+    g, targets, a, b = case
+    calls = [(p, {"k": k}) for p in PROBLEMS + ("nope", "KNC") for k in (None, 0, 1, 2, 3)]
+    calls += [("steiner_set", {"k": 1, "targets": t})
+              for t in (None, (), (0,), (g.n + 1,), targets)]
+    calls += [("next_to_shortest", {"u": u, "v": v})
+              for u, v in ((None, b), (a, None), (a, a), (a, b))]
+    for problem, kw in calls:
+        assert (_outcome(brute_solve, g, problem, **kw)
+                == _outcome(brute_solve_reference, g, problem, **kw)), (problem, kw)
 
 
 def test_knc_path():
