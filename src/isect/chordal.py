@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BadParams, InstanceTooLarge, MalformedModel, NotChordal
-from .graph import Graph
+from .graph import Graph, _mask_of, reach
 from .oracles import find_hole
 
 PERFECT = "perfect-elimination"
@@ -151,17 +151,8 @@ def maximal_cliques_chordal(g: Graph) -> list[tuple[int, ...]]:
 
 
 def _separates(g: Graph, cut: frozenset[int], a: int, b: int) -> bool:
-    seen = {a} | cut
-    stack = [a]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w == b:
-                return False
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return True
+    """No path from a to b avoids cut; a and b are distinct and outside cut."""
+    return not reach(g, 1 << (a - 1), ~_mask_of(cut)) >> (b - 1) & 1
 
 
 def _is_minimal_ab_separator(g: Graph, cut: frozenset[int], a: int, b: int) -> bool:

@@ -147,6 +147,10 @@ def _cmd_oracle(args) -> int:
     print("value", _fmt(sol.value) if name == "mwis" else sol.value)
     if name == "chromatic_number":
         print("colors", *sol.witness)
+    elif name == "min_clique_cover":
+        # each vertex's part, numbered in the order the witness lists them
+        part = {v: i for i, clique in enumerate(sol.witness, start=1) for v in clique}
+        print("cover", *(part[v] for v in g.vertices()))
     elif isinstance(sol.witness, tuple):
         print("witness", *sorted(sol.witness))
     return 0

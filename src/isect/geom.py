@@ -25,7 +25,7 @@ from .errors import (
     SharedEndpoint,
     SizeBudgetExceeded,
 )
-from .graph import Graph, pairs_graph, rational_pair
+from .graph import Graph, common_denominator, pairs_graph, rational_pair
 from .intervals import rank_pairs
 
 INFINITE_TOLERANCE = math.inf
@@ -40,7 +40,7 @@ def _frac(x: object, what: str) -> Fraction:
 
 def _integers(xs: Sequence[Fraction]) -> np.ndarray:
     # the rationals times their common denominator, as exact Python integers
-    den = math.lcm(*(x.denominator for x in xs))
+    den = common_denominator(xs)
     return np.array([x.numerator * (den // x.denominator) for x in xs], dtype=object)
 
 

@@ -12,14 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, zip_longest
 from math import lcm
 from operator import add
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BadParams, DisconnectedGraph, MalformedModel, NotSubgraph
+from .errors import (
+    BadParams,
+    DisconnectedGraph,
+    MalformedModel,
+    NotSubgraph,
+    SizeBudgetExceeded,
+)
 
 # weight arguments accepted by the solvers: none, a vertex-keyed mapping
 # with default 1, or a dense length-n sequence
@@ -43,6 +49,23 @@ def coerce_weights(n: int, weights: WeightsArg) -> list[Fraction]:
     return vals
 
 
+# the bits a common denominator may have: the exact builders and weighted
+# solvers scale every rational by it, so their integers grow with it
+MAX_DENOMINATOR_BITS = 1024
+
+
+def common_denominator(xs: Iterable[Fraction]) -> int:
+    """The lcm of the denominators of xs; SizeBudgetExceeded past
+    MAX_DENOMINATOR_BITS bits, checked as each distinct one is folded in."""
+    d = 1
+    for q in {x.denominator for x in xs}:
+        d = lcm(d, q)
+        if d.bit_length() > MAX_DENOMINATOR_BITS:
+            raise SizeBudgetExceeded(
+                f"common denominator of the rationals passes {MAX_DENOMINATOR_BITS} bits")
+    return d
+
+
 def lex_weights(w: Sequence[Fraction]) -> list[int]:
     """Integer weights under which a max-weight DP has a single optimum.
 
@@ -53,7 +76,7 @@ def lex_weights(w: Sequence[Fraction]) -> list[int]:
     (Edelsbrunner & Mücke, "Simulation of Simplicity", ACM TOG 1990).
     """
     n = len(w)
-    d = lcm(*(x.denominator for x in w))
+    d = common_denominator(w)
     return [x.numerator * (d // x.denominator) << n | 1 << (n - v)
             for v, x in enumerate(w, start=1)]
 
@@ -254,26 +277,17 @@ class Graph:
         return Graph.build(len(old), edges, weights), {i + 1: v for i, v in enumerate(old)}
 
     def components(self) -> list[frozenset[int]]:
-        seen: set[int] = set()
+        """Vertex sets of the components, ordered by their smallest vertex."""
         comps = []
-        for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            stack = [start]
-            comp = {start}
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                for y in self.adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(frozenset(comp))
+        rest = (1 << self.n) - 1
+        while rest:
+            comp = reach(self, rest & -rest)
+            comps.append(frozenset(_set_of(comp)))
+            rest &= ~comp
         return comps
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or reach(self, 1) == (1 << self.n) - 1
 
 
 _BLOCK_CELLS = 1 << 16  # pairs per block, at least one row: block temporaries stay small
@@ -307,37 +321,55 @@ class Metrics:
     mean_distance: Fraction = Fraction(0)
 
 
+def _mask_of(vs: Iterable[int]) -> int:
+    return sum(1 << (v - 1) for v in set(vs))
+
+
+def _set_of(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def bfs_layers(g: Graph, start: int, within: int = -1) -> Iterator[int]:
+    """Breadth-first layers around the vertex mask start, as vertex masks.
+
+    Layer 0 is start; layer d + 1 holds the vertices of within (all by
+    default) next to layer d and in no earlier one, up to the first empty
+    layer.  Every reachability and distance helper reads this walk.
+    """
+    adj = g.adj_bits
+    seen = frontier = start
+    while frontier:
+        yield frontier
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length()]
+            frontier ^= low
+        frontier = nxt & within & ~seen
+        seen |= frontier
+
+
+def reach(g: Graph, start: int, within: int = -1) -> int:
+    """start plus every vertex of within that a path inside within joins to it."""
+    return sum(bfs_layers(g, start, within))  # the layers are disjoint
+
+
 def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
     """Distances from source to every vertex; None marks unreachable.
 
-    Index 0 of the result is unused padding.  Uses bitmask frontiers so
-    that dense oracle sweeps stay cheap.
+    Index 0 of the result is unused padding.
     """
     dist: list[Optional[int]] = [None] * (g.n + 1)
-    dist[source] = 0
-    adj = g.adj_bits
-    visited = 1 << (source - 1)
-    frontier = visited
-    d = 0
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            v = low.bit_length()
-            nxt |= adj[v]
-            f ^= low
-        nxt &= ~visited
-        if not nxt:
-            break
-        d += 1
-        visited |= nxt
-        f = nxt
-        while f:
-            low = f & -f
+    for d, layer in enumerate(bfs_layers(g, 1 << (source - 1))):
+        while layer:
+            low = layer & -layer
             dist[low.bit_length()] = d
-            f ^= low
-        frontier = nxt
+            layer ^= low
     return dist
 
 
@@ -359,41 +391,33 @@ def metrics(g: Graph) -> Metrics:
         raise MalformedModel("metrics undefined on the empty graph")
     if not g.is_connected():
         raise DisconnectedGraph("metrics need a connected graph")
-    if g.n == 1:
-        return Metrics({1: 0}, 0, 0, frozenset({1}), Fraction(0))
-    ecc: dict[int, int] = {}
-    total = 0
-    for v in g.vertices():
-        row = bfs_distances(g, v)[1:]
-        ecc[v] = max(row)  # type: ignore[type-var]
-        total += sum(row)  # type: ignore[arg-type]
+    rows = bfs_apsp(g)
+    ecc = {v: max(row) for v, row in enumerate(rows, start=1)}  # type: ignore[type-var]
     radius = min(ecc.values())
-    diameter = max(ecc.values())
     center = frozenset(v for v, e in ecc.items() if e == radius)
-    mean = Fraction(total, g.n * (g.n - 1))
-    return Metrics(ecc, radius, diameter, center, mean)
+    mean = Fraction(sum(map(sum, rows)), max(g.n * (g.n - 1), 1))  # type: ignore[arg-type]
+    return Metrics(ecc, radius, max(ecc.values()), center, mean)
 
 
 def hinge_vertices(g: Graph) -> frozenset[int]:
-    """Vertices whose removal increases some remaining pairwise distance."""
+    """Vertices whose removal increases some remaining pairwise distance.
+
+    Removing x never shortens a distance, so x is a hinge exactly when,
+    from some other vertex, a breadth-first layer inside G - x differs
+    from the same layer in G with x taken out.
+    """
     if not g.is_connected():
         raise DisconnectedGraph("hinge vertices are defined on connected graphs")
-    base = bfs_apsp(g)
-    hinges = set()
-    for x in g.vertices():
-        rest = [v for v in g.vertices() if v != x]
-        sub, back = g.induced(rest)
-        sub_d = bfs_apsp(sub)
-        for i in range(sub.n):
-            for j in range(i + 1, sub.n):
-                old = base[back[i + 1] - 1][back[j + 1] - 1]
-                new = sub_d[i][j]
-                if new is None or new > old:  # type: ignore[operator]
-                    hinges.add(x)
-                    break
-            if x in hinges:
-                break
-    return frozenset(hinges)
+    layers = [list(bfs_layers(g, 1 << (s - 1))) for s in g.vertices()]
+
+    def hinge(x: int) -> bool:
+        keep = ~(1 << (x - 1))
+        return any(new != old & keep
+                   for s in g.vertices() if s != x
+                   for new, old in zip_longest(bfs_layers(g, 1 << (s - 1), keep),
+                                               layers[s - 1], fillvalue=0))
+
+    return frozenset(filter(hinge, g.vertices()))
 
 
 def cut_vertices_and_blocks(g: Graph) -> tuple[frozenset[int], list[frozenset[int]]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (
     InstanceTooLarge,
     UndefinedForDisconnected,
 )
-from .graph import Graph, bfs_apsp, bfs_distances
+from .graph import Graph, _mask_of, _set_of, bfs_distances, bfs_layers, reach
 
 DEFAULT_ORACLE_BOUND = 16
 DEFAULT_PATH_ORACLE_BOUND = 12
@@ -44,53 +44,13 @@ def _check_size(g: Graph, cap: int, what: str) -> None:
         raise InstanceTooLarge(f"{what} oracle capped at n={cap}, got n={g.n}")
 
 
-def _mask_of(vs) -> int:
-    mask = 0
-    for v in vs:
-        mask |= 1 << (v - 1)
-    return mask
-
-
-def _set_of(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
-
-
-def _reach(g: Graph, start_bits: int, mask: int) -> int:
-    """start_bits plus every vertex of mask that a path inside mask joins to it."""
-    seen = frontier = start_bits
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= g.adj_bits[low.bit_length()]
-            f ^= low
-        frontier = nxt & mask & ~seen
-        seen |= frontier
-    return seen
-
-
 def _mask_connected(g: Graph, mask: int) -> bool:
-    return mask == 0 or _reach(g, mask & -mask, mask) == mask
+    return mask == 0 or reach(g, mask & -mask, mask) == mask
 
 
 def _balls(g: Graph, k: int) -> dict[int, int]:
     """Bit v-1 of entry z is set iff v lies within distance k of z."""
-    dist = bfs_apsp(g)
-    cover = {}
-    for z in g.vertices():
-        mask = 0
-        for v in g.vertices():
-            d = dist[z - 1][v - 1]
-            if d is not None and d <= k:
-                mask |= 1 << (v - 1)
-        cover[z] = mask
-    return cover
+    return {z: sum(islice(bfs_layers(g, 1 << (z - 1)), k + 1)) for z in g.vertices()}
 
 
 def _independent_table(n: int, bits) -> np.ndarray:
@@ -252,27 +212,20 @@ def _solve_steiner(g: Graph, targets: tuple[int, ...]) -> tuple[object, object]:
         if not 1 <= t <= g.n:
             raise BadParams(f"target {t} outside 1..{g.n}")
     tmask = _mask_of(targets)
-    if _reach(g, tmask & -tmask, (1 << g.n) - 1) & tmask != tmask:
+    if reach(g, tmask & -tmask) & tmask != tmask:
         raise UndefinedForDisconnected("targets fall in different components")
     rest = [v for v in g.vertices() if not tmask >> (v - 1) & 1]
     return _first_set(rest, lambda chosen: _mask_connected(g, tmask | chosen))
 
 
 def _acyclic_within(g: Graph, mask: int) -> bool:
-    vs = _set_of(mask)
-    edge_count = 0
-    for v in vs:
-        edge_count += (g.adj_bits[v] & mask).bit_count()
-    edge_count //= 2
-    comps = 0
-    seen = 0
-    for v in vs:
-        bit = 1 << (v - 1)
-        if seen & bit:
-            continue
+    # a forest has as many edges as vertices less components
+    edges = sum((g.adj_bits[v] & mask).bit_count() for v in _set_of(mask)) // 2
+    comps, rest = 0, mask
+    while rest:
         comps += 1
-        seen |= _reach(g, bit, mask)
-    return edge_count == len(vs) - comps
+        rest &= ~reach(g, rest & -rest, mask)
+    return edges == mask.bit_count() - comps
 
 
 def _solve_fvs(g: Graph) -> tuple[object, object]:
@@ -409,13 +362,12 @@ def is_at_free(g: Graph, *, max_n: int = DEFAULT_ORACLE_BOUND) -> bool:
     triple (each pair joined by a path avoiding the third's closed
     neighbourhood)."""
     _check_size(g, max_n, "asteroidal triple")
-    everything = (1 << g.n) - 1
 
     def joined_avoiding(x: int, y: int, z: int) -> bool:
         banned = g.adj_bits[z] | (1 << (z - 1))
         if banned >> (x - 1) & 1 or banned >> (y - 1) & 1:
             return False
-        return bool(_reach(g, 1 << (x - 1), everything & ~banned) >> (y - 1) & 1)
+        return bool(reach(g, 1 << (x - 1), ~banned) >> (y - 1) & 1)
 
     for x, y, z in combinations(g.vertices(), 3):
         if g.has_edge(x, y) or g.has_edge(y, z) or g.has_edge(x, z):

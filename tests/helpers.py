@@ -9,15 +9,20 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from isect.errors import BadParams, InfeasibleProblem, UndefinedForDisconnected
+from isect.errors import (
+    BadParams,
+    DisconnectedGraph,
+    InfeasibleProblem,
+    MalformedModel,
+    UndefinedForDisconnected,
+)
 from isect.geom import DiskPoints, KBoxModel, ToleranceRep
-from isect.graph import Graph, WeightsArg, _normalize_edge, bfs_apsp, coerce_weights
+from isect.graph import Graph, Metrics, WeightsArg, _normalize_edge, bfs_apsp, coerce_weights
 from isect.intervals import IntervalModel, overlaps
 from isect.oracles import (
     DEFAULT_ORACLE_BOUND,
     DEFAULT_PATH_ORACLE_BOUND,
     BruteSolution,
-    _acyclic_within,
     _balls,
     _canonical_coloring,
     _check_size,
@@ -356,7 +361,7 @@ def steiner_reference(g: Graph, targets: tuple[int, ...]) -> tuple[object, objec
         if not 1 <= t <= g.n:
             raise BadParams(f"target {t} outside 1..{g.n}")
     comp_of = {}
-    for i, comp in enumerate(g.components()):
+    for i, comp in enumerate(components_reference(g)):
         for v in comp:
             comp_of[v] = i
     if len({comp_of[t] for t in tset}) > 1:
@@ -374,7 +379,7 @@ def fvs_reference(g: Graph) -> tuple[object, object]:
     everything = (1 << g.n) - 1
     for size in range(0, g.n + 1):
         for combo in combinations(g.vertices(), size):
-            if _acyclic_within(g, everything & ~_mask_of(combo)):
+            if acyclic_within_reference(g, everything & ~_mask_of(combo)):
                 return size, combo
     raise AssertionError("removing all vertices leaves a forest")
 
@@ -426,3 +431,163 @@ def brute_solve_reference(g: Graph, problem: str, *, k: Optional[int] = None,
         value, witness = _solve_next_to_shortest(g, u, v)
         return BruteSolution(name, value, witness, (("u", u), ("v", v)))
     raise BadParams(f"unknown problem {problem!r}")
+
+
+# The reachability and distance helpers as they were before one bitmask
+# frontier walk (``graph.bfs_layers``) served them all; the differential
+# test in test_graph.py compares each rewritten helper with its reference.
+
+def bfs_distances_reference(g: Graph, source: int) -> list[Optional[int]]:
+    dist: list[Optional[int]] = [None] * (g.n + 1)
+    dist[source] = 0
+    adj = g.adj_bits
+    visited = 1 << (source - 1)
+    frontier = visited
+    d = 0
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            low = f & -f
+            v = low.bit_length()
+            nxt |= adj[v]
+            f ^= low
+        nxt &= ~visited
+        if not nxt:
+            break
+        d += 1
+        visited |= nxt
+        f = nxt
+        while f:
+            low = f & -f
+            dist[low.bit_length()] = d
+            f ^= low
+        frontier = nxt
+    return dist
+
+
+def components_reference(g: Graph) -> list[frozenset[int]]:
+    seen: set[int] = set()
+    comps = []
+    for start in range(1, g.n + 1):
+        if start in seen:
+            continue
+        stack = [start]
+        comp = {start}
+        seen.add(start)
+        while stack:
+            x = stack.pop()
+            for y in g.adj[x]:
+                if y not in comp:
+                    comp.add(y)
+                    seen.add(y)
+                    stack.append(y)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def is_connected_reference(g: Graph) -> bool:
+    return g.n <= 1 or len(components_reference(g)) == 1
+
+
+def reach_reference(g: Graph, start_bits: int, mask: int) -> int:
+    seen = frontier = start_bits
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            low = f & -f
+            nxt |= g.adj_bits[low.bit_length()]
+            f ^= low
+        frontier = nxt & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def acyclic_within_reference(g: Graph, mask: int) -> bool:
+    vs = _set_of(mask)
+    edge_count = 0
+    for v in vs:
+        edge_count += (g.adj_bits[v] & mask).bit_count()
+    edge_count //= 2
+    comps = 0
+    seen = 0
+    for v in vs:
+        bit = 1 << (v - 1)
+        if seen & bit:
+            continue
+        comps += 1
+        seen |= reach_reference(g, bit, mask)
+    return edge_count == len(vs) - comps
+
+
+def _apsp_reference(g: Graph) -> list[list[Optional[int]]]:
+    return [bfs_distances_reference(g, s)[1:] for s in g.vertices()]
+
+
+def balls_reference(g: Graph, k: int) -> dict[int, int]:
+    dist = _apsp_reference(g)
+    cover = {}
+    for z in g.vertices():
+        mask = 0
+        for v in g.vertices():
+            d = dist[z - 1][v - 1]
+            if d is not None and d <= k:
+                mask |= 1 << (v - 1)
+        cover[z] = mask
+    return cover
+
+
+def separates_reference(g: Graph, cut: frozenset[int], a: int, b: int) -> bool:
+    seen = {a} | cut
+    stack = [a]
+    while stack:
+        u = stack.pop()
+        for w in g.adj[u]:
+            if w == b:
+                return False
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return True
+
+
+def metrics_reference(g: Graph) -> Metrics:
+    if g.n == 0:
+        raise MalformedModel("metrics undefined on the empty graph")
+    if not is_connected_reference(g):
+        raise DisconnectedGraph("metrics need a connected graph")
+    if g.n == 1:
+        return Metrics({1: 0}, 0, 0, frozenset({1}), Fraction(0))
+    ecc: dict[int, int] = {}
+    total = 0
+    for v in g.vertices():
+        row = bfs_distances_reference(g, v)[1:]
+        ecc[v] = max(row)  # type: ignore[type-var]
+        total += sum(row)  # type: ignore[arg-type]
+    radius = min(ecc.values())
+    diameter = max(ecc.values())
+    center = frozenset(v for v, e in ecc.items() if e == radius)
+    mean = Fraction(total, g.n * (g.n - 1))
+    return Metrics(ecc, radius, diameter, center, mean)
+
+
+def hinge_vertices_reference(g: Graph) -> frozenset[int]:
+    if not is_connected_reference(g):
+        raise DisconnectedGraph("hinge vertices are defined on connected graphs")
+    base = _apsp_reference(g)
+    hinges = set()
+    for x in g.vertices():
+        rest = [v for v in g.vertices() if v != x]
+        sub, back = g.induced(rest)
+        sub_d = _apsp_reference(sub)
+        for i in range(sub.n):
+            for j in range(i + 1, sub.n):
+                old = base[back[i + 1] - 1][back[j + 1] - 1]
+                new = sub_d[i][j]
+                if new is None or new > old:  # type: ignore[operator]
+                    hinges.add(x)
+                    break
+            if x in hinges:
+                break
+    return frozenset(hinges)

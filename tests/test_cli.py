@@ -132,6 +132,28 @@ def test_oracle_output_is_byte_identical(kind, problem, n, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_SHA256[kind, problem, n]
 
 
+def test_oracle_prints_the_clique_cover_as_part_numbers(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(emit_model_file(generate_model(GeneratorSpec("interval", 8, 3, {}))))
+    rc, out, err = run(capsys, "oracle", "--model", str(path), "--problem", "min_clique_cover")
+    assert rc == 0 and err == ""
+    # parts (1, 2, 4, 6) and (3, 5, 7, 8), read off per vertex like a colors line
+    assert out.splitlines() == ["value 2", "cover 1 1 2 1 2 1 2 2"]
+
+
+def test_long_distinct_denominators_exceed_the_size_budget(tmp_path, capsys):
+    # 80 coordinates with distinct 200-digit denominators: their lcm would
+    # have about 53 000 bits, and every squared distance would be that wide
+    items = [{"id": i, "x": f"1/{10**199 + 2 * i + 1}", "y": f"1/{10**199 + 2 * i + 81}"}
+             for i in range(1, 41)]
+    path = tmp_path / "disks.json"
+    path.write_text(json.dumps({"kind": "disks", "r": 1, "items": items}))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "build", "--model", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: common denominator of the rationals passes 1024 bits")
+    assert time.perf_counter() - start < 1.0
+
 # sha256 of `isect gen` stdout at seed 7 (key: kind, n), and of the emitted
 # weighted graph at n = 50, seed 3 (key: "graph", 50, "weights"), as written
 # by json.dumps over per-edge lists and a coin() call per pair

@@ -8,31 +8,51 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    acyclic_within_reference,
     adj_bits_reference,
     adj_reference,
+    balls_reference,
+    bfs_distances_reference,
     complete_graph,
+    components_reference,
     cycle_graph,
     edge_set_reference,
     empty_graph,
+    hinge_vertices_reference,
+    is_connected_reference,
+    metrics_reference,
     mwis_interval_reference,
     mwis_permutation_reference,
     path_graph,
+    reach_reference,
+    separates_reference,
     star_graph,
 )
 from isect.arcs import ArcModel, build_circular_arc_graph, mwis_circular_arc
-from isect.errors import DisconnectedGraph, MalformedModel, NotSubgraph
+from isect.chordal import _separates
+from isect.errors import (
+    DisconnectedGraph,
+    IsectError,
+    MalformedModel,
+    NotSubgraph,
+    SizeBudgetExceeded,
+)
 from isect.graph import (
+    MAX_DENOMINATOR_BITS,
     Graph,
     bfs_apsp,
+    bfs_distances,
+    common_denominator,
     cut_vertices_and_blocks,
     hinge_vertices,
     is_tree_t_spanner,
     lex_trim,
     lex_weights,
     metrics,
+    reach,
 )
 from isect.intervals import IntervalModel, build_interval_graph, mwis_interval
-from isect.oracles import brute_solve
+from isect.oracles import _acyclic_within, _balls, brute_solve
 from isect.permutations import Permutation, build_permutation_graph, mwis_permutation
 
 
@@ -322,6 +342,19 @@ def test_lex_weights_order_sets_by_weight_then_first_difference():
                 assert (total[s] > total[t]) == (first in s)
 
 
+def test_common_denominator_stops_at_its_bit_budget():
+    top = 1 << (MAX_DENOMINATOR_BITS - 1)  # a denominator of exactly the budget
+    assert common_denominator([Fraction(1, top), Fraction(3, top), Fraction(2)]) == top
+    assert common_denominator([]) == 1
+    with pytest.raises(SizeBudgetExceeded):
+        common_denominator([Fraction(1, top), Fraction(1, 3)])
+    # the weighted solvers scale by it, so they refuse such weights too
+    with pytest.raises(SizeBudgetExceeded):
+        lex_weights([Fraction(1, 3 ** 400), Fraction(1, 5 ** 400)])
+    with pytest.raises(SizeBudgetExceeded):
+        mwis_interval(IntervalModel.build([(0, 1), (2, 3)]),
+                      [Fraction(1, 3 ** 400), Fraction(1, 5 ** 400)])
+
 def test_lex_trim_drops_the_zero_weight_tail():
     w = [Fraction(x) for x in (0, 1, 0, 0)]
     assert lex_trim([1, 2, 3, 4], w) == (1, 2)
@@ -370,3 +403,58 @@ def test_perturbed_witnesses_equal_the_references_and_the_oracle(case):
     assert got == _brute_witness(build_permutation_graph(perm), weights)
     assert mwis_circular_arc(arcs, weights) == _brute_witness(
         build_circular_arc_graph(arcs), weights)
+
+
+@st.composite
+def _walk_cases(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    shape = draw(st.sampled_from(["random", "sparse", "split", "edgeless", "complete"]))
+    if shape == "edgeless":
+        pairs = []
+    elif shape != "complete":
+        side = draw(st.integers(0, n))  # "split": no edge joins 1..side to the rest
+        keep = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+        limit = {"random": 1, "sparse": 0, "split": 1}[shape]
+        pairs = [(u, v) for (u, v), r in zip(pairs, keep)
+                 if r <= limit and (shape != "split" or (u <= side) == (v <= side))]
+    full = (1 << n) - 1
+    start = draw(st.integers(0, full))
+    within = draw(st.integers(0, full))
+    cut = None
+    if n >= 2:
+        a, b = draw(st.permutations(range(1, n + 1)))[:2]
+        others = [v for v in range(1, n + 1) if v not in (a, b)]
+        cut = (frozenset(draw(st.lists(st.sampled_from(others), max_size=n)) if others
+                         else []), a, b)
+    return Graph.build(n, pairs), start, within, draw(st.integers(1, 3)), cut
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IsectError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walk_cases())
+@example((Graph.build(0, []), 0, 0, 1, None))
+@example((Graph.build(1, []), 1, 1, 2, None))
+@example((Graph.build(2, []), 1, 3, 1, (frozenset(), 1, 2)))
+@example((path_graph(12), 1, (1 << 12) - 1, 3, (frozenset({5}), 1, 12)))
+def test_frontier_walk_matches_the_reference_helpers(case):
+    g, start, within, k, cut = case
+    for s in g.vertices():
+        assert bfs_distances(g, s) == bfs_distances_reference(g, s)
+    assert g.components() == components_reference(g)
+    assert g.is_connected() == is_connected_reference(g)
+    assert reach(g, start, within) == reach_reference(g, start, within)
+    assert _acyclic_within(g, within) == acyclic_within_reference(g, within)
+    assert _balls(g, k) == balls_reference(g, k)
+    if cut is not None:
+        assert _separates(g, *cut) == separates_reference(g, *cut)
+    assert _outcome(hinge_vertices, g) == _outcome(hinge_vertices_reference, g)
+    # Metrics leaves ecc out of ==, so compare every field
+    assert _outcome(lambda h: vars(metrics(h)), g) == _outcome(
+        lambda h: vars(metrics_reference(h)), g)
