@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import chain, islice, zip_longest
 from math import lcm
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -359,6 +359,11 @@ def reach(g: Graph, start: int, within: int = -1) -> int:
     return sum(bfs_layers(g, start, within))  # the layers are disjoint
 
 
+def balls(g: Graph, k: int) -> dict[int, int]:
+    """Bit v-1 of entry z is set iff v is within distance k (>= -1) of z."""
+    return {z: sum(islice(bfs_layers(g, 1 << (z - 1)), k + 1)) for z in g.vertices()}
+
+
 def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
     """Distances from source to every vertex; None marks unreachable.
 
@@ -391,11 +396,12 @@ def metrics(g: Graph) -> Metrics:
         raise MalformedModel("metrics undefined on the empty graph")
     if not g.is_connected():
         raise DisconnectedGraph("metrics need a connected graph")
-    rows = bfs_apsp(g)
-    ecc = {v: max(row) for v, row in enumerate(rows, start=1)}  # type: ignore[type-var]
+    sizes = [list(map(int.bit_count, bfs_layers(g, 1 << (v - 1)))) for v in g.vertices()]
+    ecc = {v: len(row) - 1 for v, row in enumerate(sizes, start=1)}
     radius = min(ecc.values())
     center = frozenset(v for v, e in ecc.items() if e == radius)
-    mean = Fraction(sum(map(sum, rows)), max(g.n * (g.n - 1), 1))  # type: ignore[arg-type]
+    total = sum(d * size for row in sizes for d, size in enumerate(row))
+    mean = Fraction(total, max(g.n * (g.n - 1), 1))
     return Metrics(ecc, radius, max(ecc.values()), center, mean)
 
 
@@ -493,23 +499,22 @@ def cut_vertices_and_blocks(g: Graph) -> tuple[frozenset[int], list[frozenset[in
 def is_tree_t_spanner(g: Graph, h: Graph, t) -> bool:
     """Check that h is a spanning tree of g with stretch factor at most t.
 
-    t may be an int or Fraction.  Raises NotSubgraph when h has an edge
-    g lacks, DisconnectedGraph when g itself is not connected.
+    t may be an int or Fraction.  Raises NotSubgraph, naming the smallest
+    edge of h that g lacks, and DisconnectedGraph when g is not connected.
+    Only g's edges need checking (Peleg & Schäffer, J. Graph Theory 1989):
+    each g-neighbour of v must lie in v's ball of radius floor(t) in h.
     """
     num, den = Fraction(t).as_integer_ratio()
     if h.n != g.n:
         raise NotSubgraph(f"spanning subgraph must keep n={g.n}, got {h.n}")
-    for e in h.edges:
-        if e not in g.edges:
+    for v in g.vertices():
+        foreign = h.adj_bits[v] & ~g.adj_bits[v]
+        if foreign:  # all past v: an edge to a smaller vertex was met there
+            e = (v, (foreign & -foreign).bit_length())
             raise NotSubgraph(f"edge {e} of the claimed spanner is not in the graph")
     if not g.is_connected():
         raise DisconnectedGraph("stretch is undefined for a disconnected graph")
-    if len(h.edges) != g.n - 1 or not h.is_connected():
+    if len(h.edge_array) != g.n - 1 or not h.is_connected():
         return False
-    dg = bfs_apsp(g)
-    dh = bfs_apsp(h)
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if dh[i][j] * den > num * dg[i][j]:  # type: ignore[operator]
-                return False
-    return True
+    near = balls(h, max(num // den, -1))  # below radius 0 every ball is empty
+    return all(not g.adj_bits[v] & ~near[v] for v in g.vertices())

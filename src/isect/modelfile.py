@@ -1,9 +1,9 @@
 """JSON model files: one tagged document per geometric model.
 
 A file is an object {"kind": ..., "items": [...]} with optional
-"weights" and kind-specific extras.  Exact rationals travel as strings
-like "3/4" (or decimals without an exponent); floats are rejected so no
-value is ever silently rounded.
+"weights", plus "r" for disks; any other top-level key is an error.
+Exact rationals travel as strings like "3/4" (or decimals without an
+exponent); floats are rejected so no value is ever silently rounded.
 """
 
 from __future__ import annotations
@@ -153,6 +153,10 @@ def parse_model_file(text: str) -> ModelFile:
     # a tuple lookup, so an unhashable kind such as a list is a schema error
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}", "$.kind")
+    known = {"kind", "items", "weights"} | ({"r"} if kind == "disks" else set())
+    extra = sorted(doc.keys() - known)
+    if extra:
+        raise SchemaError(f"unknown key {extra[0]!r}", f"$.{extra[0]}")
     items = _field(doc, "items", "$")
     if not isinstance(items, list):
         raise SchemaError("items must be a list", "$.items")

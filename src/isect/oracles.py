@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (
     InstanceTooLarge,
     UndefinedForDisconnected,
 )
-from .graph import Graph, _mask_of, _set_of, bfs_distances, bfs_layers, reach
+from .graph import Graph, _mask_of, _set_of, balls, bfs_distances, reach
 
 DEFAULT_ORACLE_BOUND = 16
 DEFAULT_PATH_ORACLE_BOUND = 12
@@ -46,11 +46,6 @@ def _check_size(g: Graph, cap: int, what: str) -> None:
 
 def _mask_connected(g: Graph, mask: int) -> bool:
     return mask == 0 or reach(g, mask & -mask, mask) == mask
-
-
-def _balls(g: Graph, k: int) -> dict[int, int]:
-    """Bit v-1 of entry z is set iff v lies within distance k of z."""
-    return {z: sum(islice(bfs_layers(g, 1 << (z - 1)), k + 1)) for z in g.vertices()}
 
 
 def _independent_table(n: int, bits) -> np.ndarray:
@@ -165,9 +160,9 @@ def _meets(needs):
 def _solve_knc(g: Graph, k: int) -> tuple[object, object]:
     if k < 1:
         raise BadParams(f"neighbourhood cover radius must be >= 1, got {k}")
-    balls = _balls(g, k)
+    ball = balls(g, k)
     # z covers edge xy when x and y lie in z's ball, that is z in both balls
-    needs = [balls[x] & balls[y] for x, y in g.sorted_edges()]
+    needs = [ball[x] & ball[y] for x, y in g.sorted_edges()]
     return _first_set(g.vertices(), _meets(needs))
 
 
@@ -176,14 +171,14 @@ def _solve_k_dominating(g: Graph, k: int) -> tuple[object, object]:
     # distance_k_dominating, which asks D plus the balls of D to cover V
     if k < 1:
         raise BadParams(f"domination radius must be >= 1, got {k}")
-    return _first_set(g.vertices(), _meets(_balls(g, k).values()))
+    return _first_set(g.vertices(), _meets(balls(g, k).values()))
 
 
 def _solve_total_k_dominating(g: Graph, k: int) -> tuple[object, object]:
     if k < 1:
         raise BadParams(f"domination radius must be >= 1, got {k}")
     # every vertex, in D or not, needs a vertex of D other than itself in its ball
-    needs = [ball & ~(1 << (z - 1)) for z, ball in _balls(g, k).items()]
+    needs = [ball & ~(1 << (z - 1)) for z, ball in balls(g, k).items()]
     found = _first_set(g.vertices(), _meets(needs), start=2)
     if found is None:
         raise InfeasibleProblem(

@@ -14,16 +14,24 @@ from isect.errors import (
     DisconnectedGraph,
     InfeasibleProblem,
     MalformedModel,
+    NotSubgraph,
     UndefinedForDisconnected,
 )
 from isect.geom import DiskPoints, KBoxModel, ToleranceRep
-from isect.graph import Graph, Metrics, WeightsArg, _normalize_edge, bfs_apsp, coerce_weights
+from isect.graph import (
+    Graph,
+    Metrics,
+    WeightsArg,
+    _normalize_edge,
+    balls,
+    bfs_apsp,
+    coerce_weights,
+)
 from isect.intervals import IntervalModel, overlaps
 from isect.oracles import (
     DEFAULT_ORACLE_BOUND,
     DEFAULT_PATH_ORACLE_BOUND,
     BruteSolution,
-    _balls,
     _canonical_coloring,
     _check_size,
     _mask_connected,
@@ -297,7 +305,7 @@ def k_dominating_reference(g: Graph, k: int) -> tuple[object, object]:
         raise BadParams(f"domination radius must be >= 1, got {k}")
     if g.n == 0:
         return 0, ()
-    cover = _balls(g, k)
+    cover = balls(g, k)
     combo = _min_cover((1 << g.n) - 1, cover, list(g.vertices()))
     return len(combo), combo
 
@@ -307,7 +315,7 @@ def distance_k_dominating_reference(g: Graph, k: int) -> tuple[object, object]:
         raise BadParams(f"domination radius must be >= 1, got {k}")
     if g.n == 0:
         return 0, ()
-    cover = _balls(g, k)
+    cover = balls(g, k)
     everything = (1 << g.n) - 1
     for size in range(0, g.n + 1):
         for combo in combinations(g.vertices(), size):
@@ -323,7 +331,7 @@ def distance_k_dominating_reference(g: Graph, k: int) -> tuple[object, object]:
 def total_k_dominating_reference(g: Graph, k: int) -> tuple[object, object]:
     if k < 1:
         raise BadParams(f"domination radius must be >= 1, got {k}")
-    cover = _balls(g, k)
+    cover = balls(g, k)
     everything = (1 << g.n) - 1
     for size in range(2, g.n + 1):
         for combo in combinations(g.vertices(), size):
@@ -591,3 +599,26 @@ def hinge_vertices_reference(g: Graph) -> frozenset[int]:
             if x in hinges:
                 break
     return frozenset(hinges)
+
+
+# The tree spanner check as it was before it read balls of the walk: two
+# APSP matrices compared over every vertex pair.
+
+def is_tree_t_spanner_reference(g: Graph, h: Graph, t) -> bool:
+    num, den = Fraction(t).as_integer_ratio()
+    if h.n != g.n:
+        raise NotSubgraph(f"spanning subgraph must keep n={g.n}, got {h.n}")
+    for e in h.edges:
+        if e not in g.edges:
+            raise NotSubgraph(f"edge {e} of the claimed spanner is not in the graph")
+    if not g.is_connected():
+        raise DisconnectedGraph("stretch is undefined for a disconnected graph")
+    if len(h.edges) != g.n - 1 or not h.is_connected():
+        return False
+    dg = bfs_apsp(g)
+    dh = bfs_apsp(h)
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if dh[i][j] * den > num * dg[i][j]:  # type: ignore[operator]
+                return False
+    return True

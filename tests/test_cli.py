@@ -5,9 +5,11 @@ import ast
 import hashlib
 import io
 import json
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,8 @@ from isect import cli
 from isect.cli import execute
 from isect.errors import BadParams, IsectError
 from isect.generators import MAX_N, GeneratorSpec, generate_model
+from isect.graph import Graph
+from isect.intervals import build_interval_graph
 from isect.modelfile import KINDS, emit_model_file, parse_model_file
 
 DOTTED_FILE = """
@@ -350,6 +354,27 @@ def test_check_rejects_negative_count_as_usage_error(suite, capsys):
     assert rc == 0 and out == f"ok {suite}: checked 0 instances\n"
 
 
+def test_check_spanner_fails_on_a_tree_stretched_past_3(capsys, monkeypatch):
+    def dfs_tree(m):
+        # a depth-first tree runs long paths through the cliques of the graph
+        g, seen, edges = build_interval_graph(m), {1}, []
+
+        def visit(v):
+            for w in sorted(g.adj[v]):
+                if w not in seen:
+                    seen.add(w)
+                    edges.append((v, w))
+                    visit(w)
+
+        visit(1)
+        return SimpleNamespace(tree=Graph.build(m.n, edges))
+
+    monkeypatch.setattr(cli, "tree_3_spanner", dfs_tree)
+    rc, out, err = run(capsys, "check", "spanner", "--count", "20", "--seed", "1")
+    assert rc == 1 and out == ""
+    assert re.fullmatch(r"FAIL spanner: instance \d+: stretch above 3 at n=\d+\n", err), err
+
+
 def test_check_rejects_wrong_kind(capsys):
     rc, _, err = run(capsys, "check", "umbrella", "--kind", "arcs")
     assert rc == 1
@@ -378,6 +403,25 @@ def test_json_beyond_reader_limits_is_a_schema_error(tmp_path, capsys):
         path.write_text(text)
         rc, _, err = run(capsys, "build", "--model", str(path))
         assert rc == 1 and err.startswith("error: $: JSON beyond the reader's limits")
+
+
+def test_unknown_top_level_keys_are_schema_errors(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    items = '"items": [{"id": 1, "a": 0, "b": 2}, {"id": 2, "a": 1, "b": 3}]'
+    # a misspelled "weights" and a disks radius on an interval file
+    for extra, key in ((', "wieghts": [2, 3]', "wieghts"), (', "r": 1', "r")):
+        path.write_text('{"kind": "interval", ' + items + extra + "}")
+        rc, out, err = run(capsys, "build", "--model", str(path))
+        assert rc == 1 and out == ""
+        assert err == f"error: $.{key}: unknown key {key!r}\n"
+    path.write_text('{"kind": "disks", "r": "3/2", "weights": [1, 2], "items": ['
+                    '{"id": 1, "x": 0, "y": 0}, {"id": 2, "x": 1, "y": 0}]}')
+    rc, out, _ = run(capsys, "build", "--model", str(path))
+    assert rc == 0 and out == "1 2\n"
+    for kind in KINDS:
+        run(capsys, "gen", "--kind", kind, "--n", "6", "--seed", "4", "--out", str(path))
+        rc, _, err = run(capsys, "build", "--model", str(path))
+        assert rc == 0 and err == "", kind
 
 
 def test_solve_rejects_unknown_problem_as_usage_error(tmp_path, capsys):

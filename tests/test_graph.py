@@ -20,6 +20,7 @@ from helpers import (
     empty_graph,
     hinge_vertices_reference,
     is_connected_reference,
+    is_tree_t_spanner_reference,
     metrics_reference,
     mwis_interval_reference,
     mwis_permutation_reference,
@@ -40,6 +41,7 @@ from isect.errors import (
 from isect.graph import (
     MAX_DENOMINATOR_BITS,
     Graph,
+    balls,
     bfs_apsp,
     bfs_distances,
     common_denominator,
@@ -52,7 +54,7 @@ from isect.graph import (
     reach,
 )
 from isect.intervals import IntervalModel, build_interval_graph, mwis_interval
-from isect.oracles import _acyclic_within, _balls, brute_solve
+from isect.oracles import _acyclic_within, brute_solve
 from isect.permutations import Permutation, build_permutation_graph, mwis_permutation
 
 
@@ -289,8 +291,11 @@ def test_tree_spanner_checks():
 
 
 def test_tree_spanner_rejects_foreign_edge():
-    with pytest.raises(NotSubgraph):
+    with pytest.raises(NotSubgraph, match=r"edge \(1, 4\) of the claimed spanner"):
         is_tree_t_spanner(path_graph(4), Graph.build(4, [(1, 2), (2, 3), (1, 4)]), 3)
+    # the smallest foreign edge is named, whatever order h holds them in
+    with pytest.raises(NotSubgraph, match=r"edge \(1, 3\) of the claimed spanner"):
+        is_tree_t_spanner(path_graph(4), Graph.build(4, [(2, 4), (1, 4), (1, 3)]), 3)
 
 
 def test_tree_spanner_rejects_non_tree():
@@ -451,10 +456,53 @@ def test_frontier_walk_matches_the_reference_helpers(case):
     assert g.is_connected() == is_connected_reference(g)
     assert reach(g, start, within) == reach_reference(g, start, within)
     assert _acyclic_within(g, within) == acyclic_within_reference(g, within)
-    assert _balls(g, k) == balls_reference(g, k)
+    assert balls(g, k) == balls_reference(g, k)
     if cut is not None:
         assert _separates(g, *cut) == separates_reference(g, *cut)
     assert _outcome(hinge_vertices, g) == _outcome(hinge_vertices_reference, g)
     # Metrics leaves ecc out of ==, so compare every field
     assert _outcome(lambda h: vars(metrics(h)), g) == _outcome(
         lambda h: vars(metrics_reference(h)), g)
+
+
+_STRETCHES = [-1, 0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 3,
+              Fraction(3 * 10 ** 30, 10 ** 30), Fraction(3 * 10 ** 30 - 1, 10 ** 30), 10 ** 9]
+
+
+@st.composite
+def _spanner_cases(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    limit = draw(st.integers(0, 3))  # 0 is sparse and often disconnected, 3 complete
+    keep = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    g_edges = [p for p, r in zip(pairs, keep) if r <= limit]
+    # a spanning forest of g: its edges in a drawn order, each kept if it
+    # joins two components so far (Kruskal)
+    label, forest = list(range(n + 1)), []
+    for u, v in draw(st.permutations(g_edges)):
+        if label[u] != label[v]:
+            old = label[v]
+            label = [label[u] if x == old else x for x in label]
+            forest.append((u, v))
+    shape = draw(st.sampled_from(["forest", "subset", "foreign", "other n"]))
+    if shape == "subset":  # trees, forests and graphs with cycles
+        h = Graph.build(n, [p for p in g_edges if draw(st.booleans())])
+    elif shape == "foreign":
+        absent = [p for p in pairs if p not in set(g_edges)]
+        h = Graph.build(n, forest + [draw(st.sampled_from(absent))] if absent else forest)
+    else:
+        h = Graph.build(n + (shape == "other n"), forest)
+    return Graph.build(n, g_edges), h, draw(st.sampled_from(_STRETCHES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spanner_cases())
+@example((Graph.build(0, []), Graph.build(0, []), 3))
+@example((Graph.build(1, []), Graph.build(1, []), -1))
+@example((cycle_graph(4), path_graph(4), Fraction(3 * 10 ** 30 - 1, 10 ** 30)))
+@example((complete_graph(12), star_graph(11), 2))
+@example((path_graph(4), Graph.build(4, [(1, 2), (2, 3), (1, 4)]), 3))
+def test_tree_spanner_check_matches_the_reference(case):
+    g, h, t = case
+    assert _outcome(is_tree_t_spanner, g, h, t) == _outcome(
+        is_tree_t_spanner_reference, g, h, t)

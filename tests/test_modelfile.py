@@ -64,6 +64,8 @@ def test_schema_errors_carry_paths():
          "$.items[0].a"),
         ('{"kind": "interval", "items": [{"id": 1, "a": 0, "b": 2}],'
          ' "weights": ["2E3"]}', "$.weights[0]"),
+        # unknown top-level keys, the first in sorted order
+        ('{"kind": "interval", "items": [], "wieghts": [], "r": 1}', "$.r"),
     ]
     for text, path in cases:
         with pytest.raises(SchemaError) as info:
