@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .errors import BadParams, InstanceTooLarge, MalformedModel, NotChordal
-from .graph import Graph, _mask_of, reach
+from .graph import Graph, _mask_of, _set_of, reach
 from .oracles import find_hole
 
 PERFECT = "perfect-elimination"
@@ -40,65 +40,58 @@ class Ordering:
 
 
 def lex_bfs(g: Graph, start: int = 1) -> Ordering:
-    """Lexicographic breadth-first search from start.
+    """Lexicographic breadth-first search from start, by class refinement.
 
-    Labels collect the visit times of earlier neighbours; the next
-    vertex is the unvisited one with the largest label, smallest id on
-    ties.  The visit order is returned; reverse it to obtain the
-    candidate elimination scheme.
+    Unvisited vertices are kept as masks of equal label, largest label first
+    (Habib, McConnell, Paul & Viennot, TCS 2000), and a visit splits every
+    class into its neighbours, in front, and the rest.  The next vertex is
+    the smallest id of the first class: largest label, smallest id on ties.
+    Reverse the visit order to obtain the candidate elimination scheme.
     """
     n = g.n
     if n and not 1 <= start <= n:
         raise BadParams(f"start vertex {start} out of range 1..{n}")
-    labels: dict[int, list[int]] = {v: [] for v in g.vertices()}
-    unvisited = set(g.vertices())
+    classes = [1 << (start - 1), (1 << n) - 1 ^ 1 << (start - 1)] if n else []
     order: list[int] = []
-    current = start if n else None
-    while unvisited:
-        v = current if current is not None else max(
-            unvisited, key=lambda u: (labels[u], -u))
-        current = None
-        unvisited.discard(v)
-        order.append(v)
-        stamp = n - len(order)
-        for w in g.adj[v]:
-            if w in unvisited:
-                labels[w].append(stamp)
+    while classes:
+        low = classes[0] & -classes[0]
+        classes[0] ^= low
+        order.append(low.bit_length())
+        nbrs, split = g.adj_bits[order[-1]], []
+        for c in classes:
+            inside = c & nbrs
+            if inside:
+                split.append(inside)
+            if c ^ inside:
+                split.append(c ^ inside)
+        classes = split
     return Ordering(tuple(order), PERFECT)
 
 
-def _validated(g: Graph, o: Ordering) -> tuple[int, ...]:
-    if sorted(o.seq) != list(range(1, g.n + 1)):
-        raise MalformedModel("ordering must list every vertex exactly once")
-    return o.seq
-
-
-def _head_ok(g: Graph, kind: str, suffix: Sequence[int]) -> bool:
-    # the kind's condition on the head suffix[0], read in the subgraph
-    # the suffix induces; members keep their order along the suffix
-    vi = suffix[0]
-    members = [w for w in suffix if w == vi or w in g.adj[vi]]
-    if kind == PERFECT:
-        return all(g.has_edge(a, b)
-                   for a, b in itertools.combinations(members[1:], 2))
-    sset = set(suffix)
-
-    def closed(v: int) -> set[int]:
-        return {v} | (g.adj[v] & sset)
-
-    if kind == STRONG:
-        return all(closed(vj) <= closed(vk)
-                   for vj, vk in itertools.combinations(members, 2))
-    if kind == MAX_NEIGHBOURHOOD:
-        hoods = {w: closed(w) for w in members}
-        return any(all(hoods[w] <= hoods[u] for w in members) for u in members)
+def _head_ok(g: Graph, kind: str, v: int, later: int, rank: Mapping[int, int]) -> bool:
+    # the kind's condition on v among v and later, the mask of the vertices after it
+    adj = g.adj_bits
+    nbrs = adj[v] & later
+    if kind == PERFECT:  # each later neighbour sees all the others
+        return all(not nbrs & ~adj[w] & ~(1 << (w - 1)) for w in _set_of(nbrs))
+    inside = later | 1 << (v - 1)
+    hoods = [adj[w] & inside | 1 << (w - 1)
+             for w in sorted(_set_of(nbrs) + (v,), key=rank.__getitem__)]
+    if kind == STRONG:  # closed neighbourhoods a chain under inclusion, in rank order
+        return all(not a & ~b for a, b in zip(hoods, hoods[1:]))
+    if kind == MAX_NEIGHBOURHOOD:  # one closed neighbourhood holds all the others
+        return any(all(not a & ~b for a in hoods) for b in hoods)
     raise BadParams(f"unknown ordering kind {kind!r}")
 
 
 def check_ordering(g: Graph, o: Ordering) -> bool:
-    """Evaluate the ordering's defining condition on every suffix."""
-    seq = _validated(g, o)
-    return all(_head_ok(g, o.kind, seq[i:]) for i in range(g.n))
+    """Evaluate the ordering's defining condition at every vertex."""
+    if sorted(o.seq) != list(range(1, g.n + 1)):
+        raise MalformedModel("ordering must list every vertex exactly once")
+    rank = {v: i for i, v in enumerate(o.seq)}
+    upto = itertools.accumulate((1 << (v - 1) for v in o.seq), int.__or__)
+    return all(_head_ok(g, o.kind, v, (1 << g.n) - 1 ^ done, rank)
+               for v, done in zip(o.seq, upto))
 
 
 def is_chordal(g: Graph) -> bool:
@@ -117,37 +110,42 @@ def find_ordering(g: Graph, kind: str, *, max_n: int = 8) -> Optional[Ordering]:
         raise BadParams(f"unknown ordering kind {kind!r}")
     if g.n > max_n:
         raise InstanceTooLarge(f"ordering search capped at n={max_n}, got n={g.n}")
+    rank: dict[int, int] = {}
 
-    def grow(suffix: tuple[int, ...], left: frozenset[int]) -> Optional[tuple[int, ...]]:
-        if not left:
-            return suffix
-        for v in sorted(left):
-            cand = (v,) + suffix
-            if _head_ok(g, kind, cand):
-                full = grow(cand, left - {v})
-                if full is not None:
-                    return full
+    def grow(later: int, pos: int) -> Optional[Ordering]:
+        # the first seq[:pos + 1] that can stand in front of the mask later
+        if pos < 0:
+            return Ordering((), kind)
+        for v in _set_of((1 << g.n) - 1 & ~later):
+            rank[v] = pos
+            if _head_ok(g, kind, v, later, rank):
+                head = grow(later | 1 << (v - 1), pos - 1)
+                if head is not None:
+                    return Ordering(head.seq + (v,), kind)
         return None
 
-    found = grow((), frozenset(g.vertices()))
-    if found is None:
-        return None
-    return Ordering(found, kind)
+    return grow(0, g.n - 1)
 
 
 def maximal_cliques_chordal(g: Graph) -> list[tuple[int, ...]]:
-    """Harvest each vertex with its later neighbours along the scheme."""
+    """Read the maximal cliques off the perfect elimination scheme.
+
+    C(v) is v with its later neighbours, and v is its earliest vertex, so
+    no two are equal.  By Gavril's rule (SIAM J. Comput. 1972) C(v) is a
+    maximal clique unless some u, whose earliest later neighbour is v,
+    has |C(u)| = |C(v)| + 1.
+    """
     order = lex_bfs(g).reverse()
     if not check_ordering(g, order):
         raise NotChordal("graph has no perfect elimination ordering")
-    seq = order.seq
-    candidates = []
-    for i, v in enumerate(seq):
-        later = set(seq[i + 1:])
-        candidates.append(frozenset({v} | (g.adj[v] & later)))
-    keep = [c for c in candidates
-            if not any(c < other for other in candidates)]
-    return sorted(set(tuple(sorted(c)) for c in keep))
+    rank = {v: i for i, v in enumerate(order.seq)}
+    upto = itertools.accumulate((1 << (v - 1) for v in order.seq), int.__or__)
+    cliques = {v: g.adj_bits[v] & ~done | 1 << (v - 1) for v, done in zip(order.seq, upto)}
+    parent = {u: min(_set_of(c ^ 1 << (u - 1)), key=rank.__getitem__, default=u)
+              for u, c in cliques.items()}  # the earliest later neighbour
+    grown = {parent[u] for u, c in cliques.items()
+             if c.bit_count() == cliques[parent[u]].bit_count() + 1}
+    return sorted(_set_of(c) for v, c in cliques.items() if v not in grown)
 
 
 def _separates(g: Graph, cut: frozenset[int], a: int, b: int) -> bool:
@@ -156,13 +154,12 @@ def _separates(g: Graph, cut: frozenset[int], a: int, b: int) -> bool:
 
 
 def _is_minimal_ab_separator(g: Graph, cut: frozenset[int], a: int, b: int) -> bool:
-    if g.has_edge(a, b) or not _separates(g, cut, a, b):
+    # a separating cut is minimal exactly when each cut vertex has neighbours
+    # on both sides: it joins them, and one missing a side could be dropped
+    if not _separates(g, cut, a, b):
         return False
-    for size in range(len(cut)):
-        for sub in itertools.combinations(sorted(cut), size):
-            if _separates(g, frozenset(sub), a, b):
-                return False
-    return True
+    sides = [reach(g, 1 << (x - 1), ~_mask_of(cut)) for x in (a, b)]
+    return all(g.adj_bits[c] & side for c in cut for side in sides)
 
 
 @dataclass(frozen=True)
@@ -175,6 +172,9 @@ class CliqueGraph:
 
 
 def clique_graph(g: Graph, *, max_n: int = 12) -> CliqueGraph:
+    """Maximal cliques i < j, numbered from 1 in sorted order, are joined when
+    their intersection is a minimal a,b-separator for every a only in clique
+    i and b only in clique j; mu maps each such edge to the intersection's size."""
     if g.n > max_n:
         raise InstanceTooLarge(f"clique graph capped at n={max_n}, got n={g.n}")
     cliques = maximal_cliques_chordal(g)

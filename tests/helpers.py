@@ -9,11 +9,14 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from isect.chordal import MAX_NEIGHBOURHOOD, PERFECT, STRONG, CliqueGraph, Ordering
 from isect.errors import (
     BadParams,
     DisconnectedGraph,
     InfeasibleProblem,
+    InstanceTooLarge,
     MalformedModel,
+    NotChordal,
     NotSubgraph,
     UndefinedForDisconnected,
 )
@@ -622,3 +625,112 @@ def is_tree_t_spanner_reference(g: Graph, h: Graph, t) -> bool:
             if dh[i][j] * den > num * dg[i][j]:  # type: ignore[operator]
                 return False
     return True
+
+
+# The chordal routines as they were before they read vertex masks: LexBFS
+# by label lists, each ordering checked on its suffix as Python sets, the
+# clique candidates filtered pairwise, and a separator's minimality by a
+# search over every proper subset of the cut.  test_chordal.py compares
+# each rewritten routine with its reference.
+
+def lex_bfs_reference(g: Graph, start: int = 1) -> Ordering:
+    n = g.n
+    if n and not 1 <= start <= n:
+        raise BadParams(f"start vertex {start} out of range 1..{n}")
+    labels: dict[int, list[int]] = {v: [] for v in g.vertices()}
+    unvisited = set(g.vertices())
+    order: list[int] = []
+    current = start if n else None
+    while unvisited:
+        v = current if current is not None else max(
+            unvisited, key=lambda u: (labels[u], -u))
+        current = None
+        unvisited.discard(v)
+        order.append(v)
+        stamp = n - len(order)
+        for w in g.adj[v]:
+            if w in unvisited:
+                labels[w].append(stamp)
+    return Ordering(tuple(order), PERFECT)
+
+
+def _head_ok_reference(g: Graph, kind: str, suffix) -> bool:
+    vi = suffix[0]
+    members = [w for w in suffix if w == vi or w in g.adj[vi]]
+    if kind == PERFECT:
+        return all(g.has_edge(a, b) for a, b in combinations(members[1:], 2))
+    sset = set(suffix)
+
+    def closed(v: int) -> set[int]:
+        return {v} | (g.adj[v] & sset)
+
+    if kind == STRONG:
+        return all(closed(vj) <= closed(vk) for vj, vk in combinations(members, 2))
+    if kind == MAX_NEIGHBOURHOOD:
+        hoods = {w: closed(w) for w in members}
+        return any(all(hoods[w] <= hoods[u] for w in members) for u in members)
+    raise BadParams(f"unknown ordering kind {kind!r}")
+
+
+def check_ordering_reference(g: Graph, o: Ordering) -> bool:
+    if sorted(o.seq) != list(range(1, g.n + 1)):
+        raise MalformedModel("ordering must list every vertex exactly once")
+    return all(_head_ok_reference(g, o.kind, o.seq[i:]) for i in range(g.n))
+
+
+def find_ordering_reference(g: Graph, kind: str, *, max_n: int = 8) -> Optional[Ordering]:
+    if kind not in (PERFECT, STRONG, MAX_NEIGHBOURHOOD):
+        raise BadParams(f"unknown ordering kind {kind!r}")
+    if g.n > max_n:
+        raise InstanceTooLarge(f"ordering search capped at n={max_n}, got n={g.n}")
+
+    def grow(suffix: tuple[int, ...], left: frozenset[int]) -> Optional[tuple[int, ...]]:
+        if not left:
+            return suffix
+        for v in sorted(left):
+            cand = (v,) + suffix
+            if _head_ok_reference(g, kind, cand):
+                full = grow(cand, left - {v})
+                if full is not None:
+                    return full
+        return None
+
+    found = grow((), frozenset(g.vertices()))
+    return None if found is None else Ordering(found, kind)
+
+
+def maximal_cliques_chordal_reference(g: Graph) -> list[tuple[int, ...]]:
+    order = lex_bfs_reference(g).reverse()
+    if not check_ordering_reference(g, order):
+        raise NotChordal("graph has no perfect elimination ordering")
+    seq = order.seq
+    candidates = [frozenset({v} | (g.adj[v] & set(seq[i + 1:]))) for i, v in enumerate(seq)]
+    keep = [c for c in candidates if not any(c < other for other in candidates)]
+    return sorted(set(tuple(sorted(c)) for c in keep))
+
+
+def is_minimal_ab_separator_reference(g: Graph, cut: frozenset[int], a: int, b: int) -> bool:
+    if g.has_edge(a, b) or not separates_reference(g, cut, a, b):
+        return False
+    for size in range(len(cut)):
+        for sub in combinations(sorted(cut), size):
+            if separates_reference(g, frozenset(sub), a, b):
+                return False
+    return True
+
+
+def clique_graph_reference(g: Graph, *, max_n: int = 12) -> CliqueGraph:
+    if g.n > max_n:
+        raise InstanceTooLarge(f"clique graph capped at n={max_n}, got n={g.n}")
+    cliques = maximal_cliques_chordal_reference(g)
+    sets = [set(c) for c in cliques]
+    edges = []
+    mu = {}
+    for i, j in combinations(range(len(cliques)), 2):
+        inter = frozenset(sets[i] & sets[j])
+        if all(is_minimal_ab_separator_reference(g, inter, a, b)
+               for a in sorted(sets[i] - sets[j])
+               for b in sorted(sets[j] - sets[i])):
+            edges.append((i + 1, j + 1))
+            mu[(i + 1, j + 1)] = len(inter)
+    return CliqueGraph(tuple(cliques), tuple(edges), mu)

@@ -1,10 +1,23 @@
 """Elimination orderings, chordality recognition, and clique graphs."""
 
 import itertools
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_graph
+from helpers import (
+    check_ordering_reference,
+    clique_graph_reference,
+    cycle_graph,
+    find_ordering_reference,
+    is_minimal_ab_separator_reference,
+    lex_bfs_reference,
+    maximal_cliques_chordal_reference,
+    path_graph,
+    random_graph,
+)
 from isect.chordal import (
     KINDS,
     MAX_NEIGHBOURHOOD,
@@ -12,6 +25,7 @@ from isect.chordal import (
     STRONG,
     CliqueGraph,
     Ordering,
+    _is_minimal_ab_separator,
     check_ordering,
     clique_graph,
     find_ordering,
@@ -20,9 +34,15 @@ from isect.chordal import (
     lex_bfs,
     maximal_cliques_chordal,
 )
-from isect.errors import BadParams, InstanceTooLarge, MalformedModel, NotChordal
+from isect.errors import BadParams, InstanceTooLarge, IsectError, MalformedModel, NotChordal
+from isect.generators import GeneratorSpec, generate_model
 from isect.graph import Graph
-from isect.intervals import IntervalModel, build_interval_graph
+from isect.intervals import (
+    IntervalModel,
+    build_interval_graph,
+    maximal_cliques_interval,
+    normalize,
+)
 from isect.oracles import find_hole, maximal_cliques_bruteforce
 from isect.rng import SplitMix64
 
@@ -255,3 +275,86 @@ def test_found_orderings_agree_with_the_check():
             any_passes = any(check_ordering(g, Ordering(seq, kind))
                              for seq in itertools.permutations(g.vertices()))
             assert any_passes == (found is not None), (sorted(g.edges), kind)
+
+
+@st.composite
+def _chordal_cases(draw):
+    n = draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    shape = draw(st.sampled_from(["random", "split", "tree", "interval", "hole"]))
+    if shape == "tree":
+        edges = [(draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)]
+    elif shape == "interval":
+        ends = draw(st.permutations(range(1, 2 * n + 1)))
+        edges = build_interval_graph(IntervalModel.build(
+            [tuple(sorted(ends[2 * i:2 * i + 2])) for i in range(n)])).sorted_edges()
+    else:
+        limit = draw(st.integers(0, 4))  # 0 sparse, 4 complete
+        keep = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+        side = draw(st.integers(0, n))  # "split": no edge joins 1..side to the rest
+        edges = [(u, v) for (u, v), r in zip(pairs, keep)
+                 if r < limit and (shape != "split" or (u <= side) == (v <= side))]
+        if shape == "hole" and n >= 4:  # plant a chordless cycle
+            ring = draw(st.permutations(range(1, n + 1)))[:draw(st.integers(4, n))]
+            on_ring = set(ring)
+            edges = [e for e in edges if not set(e) <= on_ring]
+            edges += list(zip(ring, ring[1:] + ring[:1]))
+    g = Graph.build(n, edges)
+    seqs = [tuple(draw(st.permutations(range(1, n + 1)))) for _ in range(3)]
+    seqs.append(lex_bfs_reference(g).reverse().seq)
+    cut = None
+    if n >= 2:
+        a, b, *others = draw(st.permutations(range(1, n + 1)))
+        cut = (frozenset(v for v in others if draw(st.booleans())), a, b)
+    return g, seqs, cut
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IsectError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chordal_cases())
+@example((Graph.build(0, []), [()], None))
+@example((SUN3, [(4, 5, 6, 1, 2, 3)], (frozenset({1}), 4, 5)))
+@example((cycle_graph(7), [tuple(range(1, 8))], (frozenset({1, 4}), 2, 6)))
+@example((path_graph(10), [tuple(range(10, 0, -1))], (frozenset({4, 5}), 1, 9)))
+def test_chordal_routines_match_the_references(case):
+    g, seqs, cut = case
+    for s in g.vertices():
+        assert lex_bfs(g, s) == lex_bfs_reference(g, s)
+    for kind in KINDS + ("no-such-kind",):
+        for seq in seqs + [seqs[0][1:]]:  # the last one leaves a vertex out
+            o = Ordering(seq, kind)
+            assert _outcome(check_ordering, g, o) == _outcome(check_ordering_reference, g, o)
+        if g.n <= 7:
+            assert _outcome(find_ordering, g, kind) == _outcome(find_ordering_reference, g, kind)
+    assert is_chordal(g) == check_ordering_reference(g, lex_bfs_reference(g).reverse())
+    assert _outcome(maximal_cliques_chordal, g) == _outcome(maximal_cliques_chordal_reference, g)
+    assert _outcome(clique_graph, g) == _outcome(clique_graph_reference, g)
+    if cut is not None:
+        assert _is_minimal_ab_separator(g, *cut) == is_minimal_ab_separator_reference(g, *cut)
+
+
+@pytest.mark.parametrize("shape", ["path", "interval"])
+def test_recognition_and_cliques_scale(shape):
+    # the bound sits far above a few mask operations per vertex and edge,
+    # and below a rescan of the whole suffix at every vertex
+    if shape == "path":
+        g = path_graph(4000)
+        want = [(i, i + 1) for i in range(1, 4000)]
+    else:
+        m = generate_model(GeneratorSpec("interval", 400, 1)).model
+        g = build_interval_graph(m)
+        strict, order = normalize(m)
+        want = sorted(tuple(sorted(order[v - 1] for v in c))
+                      for c in maximal_cliques_interval(strict))
+    t0 = time.perf_counter()
+    assert is_chordal(g)
+    got = maximal_cliques_chordal(g)
+    elapsed = time.perf_counter() - t0
+    assert got == want
+    assert elapsed < 2.0, elapsed

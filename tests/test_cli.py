@@ -346,6 +346,31 @@ def test_check_suites_pass(suite, capsys):
     assert out.startswith(f"ok {suite}")
 
 
+# every (suite, kind) pair that isect check accepts
+CHECK_PAIRS = [("umbrella", "interval"), ("spanner", "interval"), ("coloring", "interval"),
+               ("mwis", "arcs"), ("mwis", "interval"), ("mwis", "permutation"),
+               ("apsp", "interval"), ("apsp", "arcs"), ("fourway", "trapezoid"),
+               ("chordal", "graph"), ("chordal", "interval"), ("crt", "dotted")]
+
+
+@pytest.mark.parametrize("suite, kind", CHECK_PAIRS)
+def test_check_passes_on_every_accepted_kind(suite, kind, capsys):
+    rc, out, err = run(capsys, "check", suite, "--kind", kind, "--count", "10", "--seed", "5")
+    assert rc == 0 and err == ""
+    assert out == f"ok {suite}: checked 10 instances\n"
+
+
+def test_check_chordal_fails_when_the_recognizer_does(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_chordal", lambda g: False)
+    rc, out, err = run(capsys, "check", "chordal", "--kind", "interval", "--count", "5")
+    assert rc == 1 and out == ""
+    assert err == "FAIL chordal: instance 0: interval graph not chordal\n"
+    monkeypatch.setattr(cli, "is_chordal", lambda g: True)
+    rc, out, err = run(capsys, "check", "chordal", "--kind", "graph", "--count", "50")
+    assert rc == 1 and out == ""
+    assert re.fullmatch(r"FAIL chordal: instance \d+: recognizer and holes disagree\n", err), err
+
+
 @pytest.mark.parametrize("suite", sorted(cli._SUITES))
 def test_check_rejects_negative_count_as_usage_error(suite, capsys):
     rc, out, err = run(capsys, "check", suite, "--count", "-3")
