@@ -79,15 +79,16 @@ def _head_ok(g: Graph, kind: str, v: int, later: int, rank: Mapping[int, int]) -
              for w in sorted(_set_of(nbrs) + (v,), key=rank.__getitem__)]
     if kind == STRONG:  # closed neighbourhoods a chain under inclusion, in rank order
         return all(not a & ~b for a, b in zip(hoods, hoods[1:]))
-    if kind == MAX_NEIGHBOURHOOD:  # one closed neighbourhood holds all the others
-        return any(all(not a & ~b for a in hoods) for b in hoods)
-    raise BadParams(f"unknown ordering kind {kind!r}")
+    # MAX_NEIGHBOURHOOD: one closed neighbourhood holds all the others
+    return any(all(not a & ~b for a in hoods) for b in hoods)
 
 
 def check_ordering(g: Graph, o: Ordering) -> bool:
     """Evaluate the ordering's defining condition at every vertex."""
     if sorted(o.seq) != list(range(1, g.n + 1)):
         raise MalformedModel("ordering must list every vertex exactly once")
+    if o.kind not in KINDS:
+        raise BadParams(f"unknown ordering kind {o.kind!r}")
     rank = {v: i for i, v in enumerate(o.seq)}
     upto = itertools.accumulate((1 << (v - 1) for v in o.seq), int.__or__)
     return all(_head_ok(g, o.kind, v, (1 << g.n) - 1 ^ done, rank)

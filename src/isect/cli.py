@@ -190,11 +190,14 @@ def _check_umbrella(kind, count, seed) -> int:
         n = 2 + rng.below(30)
         strict, _ = normalize(generate_model(GeneratorSpec("interval", n, s)).model)
         g = build_interval_graph(strict)
-        for u, w in g.edges:
-            for v in range(u + 1, w):
-                if not g.has_edge(v, w):
-                    raise _SuiteFailure(
-                        f"instance {i}: edge ({u},{w}) but ({v},{w}) missing")
+        for w in g.vertices():
+            # the neighbours below w must run solid from the lowest one, u, up to w - 1
+            below = g.adj_bits[w] & (1 << (w - 1)) - 1
+            low = below & -below
+            missing = ((1 << (w - 1)) - low) & ~below if below else 0
+            if missing:
+                u, v = low.bit_length(), (missing & -missing).bit_length()
+                raise _SuiteFailure(f"instance {i}: edge ({u},{w}) but ({v},{w}) missing")
     return count
 
 

@@ -312,7 +312,7 @@ def build_box_graph(m: KBoxModel) -> Graph:
 def verify_box_representation(g: Graph, m: KBoxModel) -> bool:
     """Is m a box representation of g?"""
     built = build_box_graph(m)
-    return g.n == built.n and g.edges == built.edges
+    return g.n == built.n and np.array_equal(g.edge_array, built.edge_array)
 
 
 def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:

@@ -1,10 +1,11 @@
 """Undirected graph value type and exact structural utilities.
 
 Vertices are the integers 1..n.  A graph stores its edges as one int64
-(m, 2) array of (min, max) rows, sorted row-major without duplicates;
-the edge set, adjacency sets and bitmasks are views derived from it on
-first use.  Optional vertex weights are exact rationals; nothing in this
-module ever goes through floating point.
+(m, 2) array of (min, max) rows, sorted row-major without duplicates,
+and bitmask rows derived from it on first use; the library reads only
+those, and the edge set and adjacency sets are views for callers.
+Optional vertex weights are exact rationals; nothing in this module
+ever goes through floating point.
 """
 
 from __future__ import annotations
@@ -151,8 +152,9 @@ class Graph:
     ``Graph.build`` is the validated entry point.  It takes the edges as
     integer pairs or as one (m, 2) integer array, and checks both alike:
     integer ends, no self-loop, both ends in 1..n.  ``edge_array`` is the
-    stored form; ``edges``, ``adj``, ``adj_bits`` and ``sorted_edges()``
-    are derived from it.  Two graphs are equal when they have the same n,
+    stored form, and ``adj_bits`` its rows as vertex masks; the library
+    reads only these.  ``edges``, ``adj`` and ``sorted_edges()`` are views
+    of it for callers.  Two graphs are equal when they have the same n,
     edges and weights.
     """
 
@@ -200,11 +202,7 @@ class Graph:
 
     @cached_property
     def adj(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for u, v in self.sorted_edges():
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
+        return {v: frozenset(_set_of(self.adj_bits[v])) for v in self.vertices()}
 
     @cached_property
     def adj_bits(self) -> list[int]:
@@ -216,12 +214,13 @@ class Graph:
         return bits
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
+        # the range test keeps a negative u from indexing the rows from the end
+        return 0 < u <= self.n and 0 < v <= self.n and self.adj_bits[u] >> (v - 1) & 1 == 1
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        if not 1 <= v <= self.n:
+            raise KeyError(v)
+        return self.adj_bits[v].bit_count()
 
     def weight(self, v: int) -> Fraction:
         if self.weights is None:
@@ -259,9 +258,10 @@ class Graph:
         return sep.join(map(add, map(pre.__getitem__, lo), map(post.__getitem__, hi)))
 
     def complement(self) -> "Graph":
-        comp = [(u, v) for u in range(1, self.n + 1) for v in range(u + 1, self.n + 1)
-                if (u, v) not in self.edges]
-        return Graph.build(self.n, comp, self.weights)
+        # the strict upper triangle less the edges; argwhere reads it row-major, sorted
+        pairs = np.triu(np.ones((self.n, self.n), dtype=bool), 1)
+        pairs[tuple((self.edge_array - 1).T)] = False
+        return Graph.build(self.n, np.argwhere(pairs) + 1, self.weights)
 
     def induced(self, keep: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph on `keep`, relabeled 1..k; returns (graph, new->old map)."""
@@ -453,13 +453,13 @@ def cut_vertices_and_blocks(g: Graph) -> tuple[frozenset[int], list[frozenset[in
     for root in g.vertices():
         if disc[root]:
             continue
-        if not g.adj[root]:
+        if not g.adj_bits[root]:
             blocks.append(frozenset({root}))
             disc[root] = timer[0]
             timer[0] += 1
             continue
         # iterative DFS; stack entries are (vertex, parent, neighbor iterator)
-        stack = [(root, 0, iter(sorted(g.adj[root])))]
+        stack = [(root, 0, iter(_set_of(g.adj_bits[root])))]
         disc[root] = low[root] = timer[0]
         timer[0] += 1
         root_children = 0
@@ -475,7 +475,7 @@ def cut_vertices_and_blocks(g: Graph) -> tuple[frozenset[int], list[frozenset[in
                     timer[0] += 1
                     if v == root:
                         root_children += 1
-                    stack.append((w, v, iter(sorted(g.adj[w]))))
+                    stack.append((w, v, iter(_set_of(g.adj_bits[w]))))
                     advanced = True
                     break
                 if disc[w] < disc[v]:

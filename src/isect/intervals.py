@@ -140,12 +140,9 @@ def normalize(m: IntervalModel) -> tuple[IntervalModel, tuple[int, ...]]:
             hi[r] = pos
     order = sorted(range(1, m.n + 1), key=lambda r: hi[r])
     strict = IntervalModel.build([(lo[r], hi[r]) for r in order], strict=True)
-    old_edges = build_interval_graph(m).edges
-    relabeled = set()
-    for u, v in build_interval_graph(strict).edges:
-        x, y = order[u - 1], order[v - 1]
-        relabeled.add((x, y) if x < y else (y, x))
-    if relabeled != old_edges:
+    back = np.array([0] + order, dtype=np.int64)  # new id -> old id
+    relabeled = Graph.build(m.n, back[build_interval_graph(strict).edge_array])
+    if relabeled != build_interval_graph(m):
         raise MalformedModel("normalization changed the intersection graph")
     return strict, tuple(order)
 

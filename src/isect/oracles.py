@@ -23,7 +23,7 @@ from .errors import (
     InstanceTooLarge,
     UndefinedForDisconnected,
 )
-from .graph import Graph, _mask_of, _set_of, balls, bfs_distances, reach
+from .graph import Graph, _mask_of, _set_of, balls, bfs_distances, lex_trim, lex_weights, reach
 
 DEFAULT_ORACLE_BOUND = 16
 DEFAULT_PATH_ORACLE_BOUND = 12
@@ -62,39 +62,39 @@ def _independent_table(n: int, bits) -> np.ndarray:
     return ok
 
 
-def _heaviest_set(n: int, bits, w) -> tuple[int, tuple[int, ...]]:
+def _heaviest_set(n: int, bits, w) -> tuple[object, tuple[int, ...]]:
     """The heaviest of the subsets no two of whose vertices meet in bits.
 
-    w[v] is vertex v's non-negative integer weight; of equally heavy
-    subsets the smallest sorted vertex tuple wins.  One table entry per
-    subset of 1..n, in int64 unless the weights could overflow it.
+    w[v - 1] is vertex v's non-negative weight.  The table holds each
+    subset's total under graph.lex_weights, whose single argmax lex_trim
+    turns into the smallest sorted vertex tuple of the heaviest subsets.
+    That is exact because the tabled families, independent sets and
+    cliques, are closed under removal, so the trimmed set is one of them.
+    One entry per subset of 1..n, in int64 unless the totals could overflow.
     """
-    total = np.zeros(1 << n, dtype=np.int64 if sum(w) < 2 ** 62 else object)
+    lw = lex_weights(w)
+    total = np.zeros(1 << n, dtype=np.int64 if sum(lw) < 2 ** 62 else object)
     for v in range(1, n + 1):
         half = 1 << (v - 1)
-        total[half:2 * half] = total[:half] + w[v]
-    score = np.where(_independent_table(n, bits), total, -1)
-    best = score.max()
-    ties = np.flatnonzero(score == best).tolist()
-    return int(best), _set_of(min(ties, key=_set_of))
+        total[half:2 * half] = total[:half] + lw[v - 1]
+    best = int(np.where(_independent_table(n, bits), total, -1).argmax())
+    chosen = lex_trim(_set_of(best), w)
+    return sum(w[v - 1] for v in chosen), chosen
 
 
 def _solve_mis(g: Graph) -> tuple[object, object]:
-    return _heaviest_set(g.n, g.adj_bits, [1] * (g.n + 1))
+    return _heaviest_set(g.n, g.adj_bits, [1] * g.n)
 
 
 def _solve_max_clique(g: Graph) -> tuple[object, object]:
     full = (1 << g.n) - 1
     bits = [0] + [full & ~g.adj_bits[v] & ~(1 << (v - 1)) for v in g.vertices()]
-    return _heaviest_set(g.n, bits, [1] * (g.n + 1))
+    return _heaviest_set(g.n, bits, [1] * g.n)
 
 
 def _solve_mwis(g: Graph) -> tuple[object, object]:
-    weights = [g.weight(v) for v in g.vertices()]
-    d = math.lcm(*(x.denominator for x in weights))
-    scaled = [0] + [x.numerator * (d // x.denominator) for x in weights]
-    best, witness = _heaviest_set(g.n, g.adj_bits, scaled)
-    return Fraction(best, d), witness
+    best, witness = _heaviest_set(g.n, g.adj_bits, [g.weight(v) for v in g.vertices()])
+    return Fraction(best), witness  # a Fraction even when the set is empty
 
 
 def _canonical_coloring(g: Graph, k: int) -> Optional[tuple[int, ...]]:
@@ -105,16 +105,19 @@ def _canonical_coloring(g: Graph, k: int) -> Optional[tuple[int, ...]]:
     """
     n = g.n
     color = [0] * (n + 1)
+    members = [0] * (k + 1)  # the vertex mask of each color, over 1..v-1
 
     def assign(v: int, used: int) -> bool:
         if v > n:
             return True
         limit = min(used + 1, k)
         for c in range(1, limit + 1):
-            if all(color[u] != c for u in g.adj[v] if u < v):
+            if not g.adj_bits[v] & members[c]:
                 color[v] = c
+                members[c] |= 1 << (v - 1)
                 if assign(v + 1, max(used, c)):
                     return True
+                members[c] ^= 1 << (v - 1)
         color[v] = 0
         return False
 
@@ -245,7 +248,7 @@ def _solve_next_to_shortest(g: Graph, u: int, v: int) -> tuple[object, object]:
             here = path[-1]
             if depth == target:
                 return here == v
-            for w in sorted(g.adj[here]):
+            for w in _set_of(g.adj_bits[here]):
                 if w in on_path:
                     continue
                 rem = to_v[w]
@@ -398,12 +401,12 @@ def is_comparability_bruteforce(g: Graph, *, max_edges: int = 24) -> bool:
             orient[e] = (a, b)
             trail.append(e)
             # a->b with b->c forces a->c; c->a with a->b forces c->b
-            for c in g.adj[b]:
+            for c in _set_of(g.adj_bits[b]):
                 if c != a and orient.get(key(b, c)) == (b, c):
                     if not g.has_edge(a, c):
                         return False
                     stack.append((a, c))
-            for c in g.adj[a]:
+            for c in _set_of(g.adj_bits[a]):
                 if c != b and orient.get(key(c, a)) == (c, a):
                     if not g.has_edge(c, b):
                         return False
@@ -473,35 +476,33 @@ def find_hole(g: Graph, min_len: int = 4) -> Optional[tuple[int, ...]]:
     The search is deterministic: cycles are explored with the smallest
     vertex first and neighbours in ascending order.
     """
+    adj = g.adj_bits
     for v0 in g.vertices():
         path = [v0]
-        on_path = {v0}
 
-        def extend() -> Optional[tuple[int, ...]]:
+        def extend(on_path: int) -> Optional[tuple[int, ...]]:
             tail = path[-1]
-            for w in sorted(g.adj[tail]):
-                if w <= v0 or w in on_path:
+            interior = on_path & ~(1 << (v0 - 1)) & ~(1 << (tail - 1))
+            for w in _set_of(adj[tail]):
+                if w <= v0 or on_path >> (w - 1) & 1:
                     continue
                 if len(path) >= 2:
-                    if g.has_edge(w, v0):
+                    if adj[w] >> (v0 - 1) & 1:
                         # w can only act as the closing vertex of the cycle
-                        if (len(path) + 1 >= min_len
-                                and not any(g.has_edge(w, p) for p in path[1:-1])):
+                        if len(path) + 1 >= min_len and not adj[w] & interior:
                             return tuple(path) + (w,)
                         continue
                     # any chord to an interior path vertex kills the branch
-                    if any(g.has_edge(w, p) for p in path[1:-1]):
+                    if adj[w] & interior:
                         continue
                 path.append(w)
-                on_path.add(w)
-                found = extend()
+                found = extend(on_path | 1 << (w - 1))
                 if found:
                     return found
-                on_path.discard(w)
                 path.pop()
             return None
 
-        found = extend()
+        found = extend(1 << (v0 - 1))
         if found:
             return found
     return None
@@ -511,7 +512,7 @@ def are_isomorphic_bruteforce(g: Graph, h: Graph, *, max_n: int = 8) -> bool:
     """Isomorphism test by permutation search."""
     _check_size(g, max_n, "isomorphism")
     _check_size(h, max_n, "isomorphism")
-    if g.n != h.n or len(g.edges) != len(h.edges):
+    if g.n != h.n or len(g.edge_array) != len(h.edge_array):
         return False
     if sorted(g.degree(v) for v in g.vertices()) != sorted(
             h.degree(v) for v in h.vertices()):
@@ -521,8 +522,6 @@ def are_isomorphic_bruteforce(g: Graph, h: Graph, *, max_n: int = 8) -> bool:
     for perm in permutations(range(1, g.n + 1)):
         if any(gd[v - 1] != hd[perm[v - 1] - 1] for v in g.vertices()):
             continue
-        if all((perm[u - 1], perm[v - 1]) in h.edges
-               or (perm[v - 1], perm[u - 1]) in h.edges
-               for u, v in g.edges):
+        if all(h.has_edge(perm[u - 1], perm[v - 1]) for u, v in g.sorted_edges()):
             return True
     return False

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import MalformedModel
-from .graph import Graph, pairs_graph
+from .graph import Graph, _set_of, pairs_graph
 from .permutations import Permutation
 
 Item = tuple[int, int, int, int]
@@ -191,12 +191,12 @@ def check_cocomparability_order(g: Graph, order: Sequence[int]) -> bool:
     nbr_mask = [0] * (n + 1)
     for u in g.vertices():
         mask = 0
-        for w in g.adj[u]:
+        for w in _set_of(g.adj_bits[u]):
             mask |= 1 << pos[w]
         nbr_mask[u] = mask
     for u in g.vertices():
         pu = pos[u]
-        for w in g.adj[u]:
+        for w in _set_of(g.adj_bits[u]):
             pw = pos[w]
             if pw <= pu:
                 continue

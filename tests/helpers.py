@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -35,11 +36,9 @@ from isect.oracles import (
     DEFAULT_ORACLE_BOUND,
     DEFAULT_PATH_ORACLE_BOUND,
     BruteSolution,
-    _canonical_coloring,
     _check_size,
     _mask_connected,
     _set_of,
-    _solve_next_to_shortest,
 )
 from isect.permutations import Permutation
 from isect.rng import SplitMix64
@@ -253,7 +252,7 @@ def chromatic_reference(g: Graph) -> tuple[int, tuple[int, ...]]:
     if g.n == 0:
         return 0, ()
     for k in range(1, g.n + 1):
-        witness = _canonical_coloring(g, k)
+        witness = canonical_coloring_reference(g, k)
         if witness is not None:
             return k, witness
     raise AssertionError("n colors always suffice")
@@ -261,7 +260,7 @@ def chromatic_reference(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 def clique_cover_reference(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Color classes of the complement, ordered by color."""
-    k, coloring = chromatic_reference(g.complement())
+    k, coloring = chromatic_reference(complement_reference(g))
     return k, tuple(tuple(v for v, c in enumerate(coloring, start=1) if c == col)
                     for col in range(1, k + 1))
 
@@ -439,7 +438,7 @@ def brute_solve_reference(g: Graph, problem: str, *, k: Optional[int] = None,
         _check_size(g, max_n_paths, name)
         if u is None or v is None:
             raise BadParams("next_to_shortest needs endpoints u and v")
-        value, witness = _solve_next_to_shortest(g, u, v)
+        value, witness = next_to_shortest_reference(g, u, v)
         return BruteSolution(name, value, witness, (("u", u), ("v", v)))
     raise BadParams(f"unknown problem {problem!r}")
 
@@ -734,3 +733,274 @@ def clique_graph_reference(g: Graph, *, max_n: int = 12) -> CliqueGraph:
             edges.append((i + 1, j + 1))
             mu[(i + 1, j + 1)] = len(inter)
     return CliqueGraph(tuple(cliques), tuple(edges), mu)
+
+
+# Graph readers as they were before the library read a graph only through
+# its edge array and bit rows: the edge frozenset, the adjacency dict of
+# frozensets, and has_edge as a frozenset lookup.  test_graph.py compares
+# each rewritten routine with its reference.
+
+def complement_reference(g: Graph) -> Graph:
+    comp = [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1)
+            if (u, v) not in g.edges]
+    return Graph.build(g.n, comp, g.weights)
+
+
+def cut_vertices_and_blocks_reference(g: Graph) -> tuple[frozenset[int], list[frozenset[int]]]:
+    n = g.n
+    disc = [0] * (n + 1)
+    low = [0] * (n + 1)
+    timer = [1]
+    cuts: set[int] = set()
+    blocks: list[frozenset[int]] = []
+    edge_stack: list[tuple[int, int]] = []
+
+    def emit_block(until: tuple[int, int]) -> None:
+        members: set[int] = set()
+        while True:
+            e = edge_stack.pop()
+            members.add(e[0])
+            members.add(e[1])
+            if e == until:
+                break
+        blocks.append(frozenset(members))
+
+    for root in g.vertices():
+        if disc[root]:
+            continue
+        if not g.adj[root]:
+            blocks.append(frozenset({root}))
+            disc[root] = timer[0]
+            timer[0] += 1
+            continue
+        stack = [(root, 0, iter(sorted(g.adj[root])))]
+        disc[root] = low[root] = timer[0]
+        timer[0] += 1
+        root_children = 0
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for w in it:
+                if w == parent:
+                    continue
+                if not disc[w]:
+                    edge_stack.append((v, w))
+                    disc[w] = low[w] = timer[0]
+                    timer[0] += 1
+                    if v == root:
+                        root_children += 1
+                    stack.append((w, v, iter(sorted(g.adj[w]))))
+                    advanced = True
+                    break
+                if disc[w] < disc[v]:
+                    edge_stack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            if advanced:
+                continue
+            stack.pop()
+            if stack:
+                pv = stack[-1][0]
+                low[pv] = min(low[pv], low[v])
+                if low[v] >= disc[pv]:
+                    emit_block((pv, v))
+                    if pv != root:
+                        cuts.add(pv)
+        if root_children > 1:
+            cuts.add(root)
+    return frozenset(cuts), blocks
+
+
+def check_cocomparability_order_reference(g: Graph, order) -> bool:
+    n = g.n
+    if sorted(order) != list(range(1, n + 1)):
+        raise MalformedModel("the order must list every vertex once")
+    pos = {v: k for k, v in enumerate(order)}
+    nbr_mask = [0] * (n + 1)
+    for u in g.vertices():
+        mask = 0
+        for w in g.adj[u]:
+            mask |= 1 << pos[w]
+        nbr_mask[u] = mask
+    for u in g.vertices():
+        pu = pos[u]
+        for w in g.adj[u]:
+            pw = pos[w]
+            if pw <= pu:
+                continue
+            between = ((1 << pw) - 1) & ~((1 << (pu + 1)) - 1)
+            if between & ~(nbr_mask[u] | nbr_mask[w]):
+                return False
+    return True
+
+
+def _has_edge_reference(g: Graph, u: int, v: int) -> bool:
+    if u > v:
+        u, v = v, u
+    return (u, v) in g.edges
+
+
+def canonical_coloring_reference(g: Graph, k: int) -> Optional[tuple[int, ...]]:
+    n = g.n
+    color = [0] * (n + 1)
+
+    def assign(v: int, used: int) -> bool:
+        if v > n:
+            return True
+        limit = min(used + 1, k)
+        for c in range(1, limit + 1):
+            if all(color[u] != c for u in g.adj[v] if u < v):
+                color[v] = c
+                if assign(v + 1, max(used, c)):
+                    return True
+        color[v] = 0
+        return False
+
+    if assign(1, 0):
+        return tuple(color[1:])
+    return None
+
+
+def next_to_shortest_reference(g: Graph, u: int, v: int) -> tuple[object, object]:
+    if not (1 <= u <= g.n and 1 <= v <= g.n) or u == v:
+        raise BadParams(f"need two distinct vertices in 1..{g.n}, got {u}, {v}")
+    to_v = bfs_distances_reference(g, v)
+    if to_v[u] is None:
+        raise UndefinedForDisconnected(f"vertices {u} and {v} are disconnected")
+    shortest = to_v[u]
+
+    def first_path_of_length(target: int) -> Optional[tuple[int, ...]]:
+        path = [u]
+        on_path = {u}
+
+        def extend() -> bool:
+            depth = len(path) - 1
+            here = path[-1]
+            if depth == target:
+                return here == v
+            for w in sorted(g.adj[here]):
+                if w in on_path:
+                    continue
+                rem = to_v[w]
+                if rem is None or depth + 1 + rem > target:
+                    continue
+                if w == v and depth + 1 != target:
+                    continue
+                path.append(w)
+                on_path.add(w)
+                if extend():
+                    return True
+                on_path.discard(w)
+                path.pop()
+            return False
+
+        return tuple(path) if extend() else None
+
+    for length in range(shortest + 1, g.n):
+        witness = first_path_of_length(length)
+        if witness is not None:
+            return length, witness
+    return math.inf, None
+
+
+def is_comparability_bruteforce_reference(g: Graph, *, max_edges: int = 24) -> bool:
+    if len(g.edge_array) > max_edges:
+        raise InstanceTooLarge(
+            f"comparability oracle capped at {max_edges} edges, got {len(g.edge_array)}")
+    edges = g.sorted_edges()
+    orient: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def key(a: int, b: int) -> tuple[int, int]:
+        return (a, b) if a < b else (b, a)
+
+    def propagate(trail: list, a: int, b: int) -> bool:
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            e = key(a, b)
+            cur = orient.get(e)
+            if cur == (a, b):
+                continue
+            if cur is not None:
+                return False
+            orient[e] = (a, b)
+            trail.append(e)
+            for c in g.adj[b]:
+                if c != a and orient.get(key(b, c)) == (b, c):
+                    if not _has_edge_reference(g, a, c):
+                        return False
+                    stack.append((a, c))
+            for c in g.adj[a]:
+                if c != b and orient.get(key(c, a)) == (c, a):
+                    if not _has_edge_reference(g, c, b):
+                        return False
+                    stack.append((c, b))
+        return True
+
+    def search(idx: int) -> bool:
+        while idx < len(edges) and edges[idx] in orient:
+            idx += 1
+        if idx == len(edges):
+            return True
+        x, y = edges[idx]
+        for a, b in ((x, y), (y, x)):
+            trail: list = []
+            if propagate(trail, a, b) and search(idx + 1):
+                return True
+            for e in trail:
+                del orient[e]
+        return False
+
+    return search(0)
+
+
+def find_hole_reference(g: Graph, min_len: int = 4) -> Optional[tuple[int, ...]]:
+    for v0 in g.vertices():
+        path = [v0]
+        on_path = {v0}
+
+        def extend() -> Optional[tuple[int, ...]]:
+            tail = path[-1]
+            for w in sorted(g.adj[tail]):
+                if w <= v0 or w in on_path:
+                    continue
+                if len(path) >= 2:
+                    if _has_edge_reference(g, w, v0):
+                        if (len(path) + 1 >= min_len
+                                and not any(_has_edge_reference(g, w, p) for p in path[1:-1])):
+                            return tuple(path) + (w,)
+                        continue
+                    if any(_has_edge_reference(g, w, p) for p in path[1:-1]):
+                        continue
+                path.append(w)
+                on_path.add(w)
+                found = extend()
+                if found:
+                    return found
+                on_path.discard(w)
+                path.pop()
+            return None
+
+        found = extend()
+        if found:
+            return found
+    return None
+
+
+def are_isomorphic_bruteforce_reference(g: Graph, h: Graph, *, max_n: int = 8) -> bool:
+    _check_size(g, max_n, "isomorphism")
+    _check_size(h, max_n, "isomorphism")
+    if g.n != h.n or len(g.edges) != len(h.edges):
+        return False
+    if sorted(len(g.adj[v]) for v in g.vertices()) != sorted(
+            len(h.adj[v]) for v in h.vertices()):
+        return False
+    gd = [len(g.adj[v]) for v in g.vertices()]
+    hd = [len(h.adj[v]) for v in h.vertices()]
+    for perm in permutations(range(1, g.n + 1)):
+        if any(gd[v - 1] != hd[perm[v - 1] - 1] for v in g.vertices()):
+            continue
+        if all((perm[u - 1], perm[v - 1]) in h.edges
+               or (perm[v - 1], perm[u - 1]) in h.edges
+               for u, v in g.edges):
+            return True
+    return False

@@ -329,7 +329,10 @@ def test_chordal_routines_match_the_references(case):
     for kind in KINDS + ("no-such-kind",):
         for seq in seqs + [seqs[0][1:]]:  # the last one leaves a vertex out
             o = Ordering(seq, kind)
-            assert _outcome(check_ordering, g, o) == _outcome(check_ordering_reference, g, o)
+            want = _outcome(check_ordering_reference, g, o)
+            if g.n == 0 and kind not in KINDS:
+                want = BadParams  # the reference tests the kind only at some vertex
+            assert _outcome(check_ordering, g, o) == want
         if g.n <= 7:
             assert _outcome(find_ordering, g, kind) == _outcome(find_ordering_reference, g, kind)
     assert is_chordal(g) == check_ordering_reference(g, lex_bfs_reference(g).reverse())

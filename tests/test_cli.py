@@ -371,6 +371,22 @@ def test_check_chordal_fails_when_the_recognizer_does(capsys, monkeypatch):
     assert re.fullmatch(r"FAIL chordal: instance \d+: recognizer and holes disagree\n", err), err
 
 
+def test_check_umbrella_fails_on_a_missing_edge(capsys, monkeypatch):
+    def lossy(m):
+        # drop (w - 1, w) at the first w with two lower neighbours: below w
+        # the run of neighbours then stops at w - 2
+        g = build_interval_graph(m)
+        for w in g.vertices():
+            if (g.adj_bits[w] & (1 << (w - 1)) - 1).bit_count() >= 2:
+                return Graph.build(g.n, [e for e in g.sorted_edges() if e != (w - 1, w)])
+        return g
+
+    monkeypatch.setattr(cli, "build_interval_graph", lossy)
+    rc, out, err = run(capsys, "check", "umbrella", "--count", "20", "--seed", "3")
+    assert rc == 1 and out == ""
+    assert err == "FAIL umbrella: instance 0: edge (2,5) but (4,5) missing\n"
+
+
 @pytest.mark.parametrize("suite", sorted(cli._SUITES))
 def test_check_rejects_negative_count_as_usage_error(suite, capsys):
     rc, out, err = run(capsys, "check", suite, "--count", "-3")

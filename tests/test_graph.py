@@ -11,19 +11,26 @@ from helpers import (
     acyclic_within_reference,
     adj_bits_reference,
     adj_reference,
+    are_isomorphic_bruteforce_reference,
     balls_reference,
     bfs_distances_reference,
+    check_cocomparability_order_reference,
+    complement_reference,
     complete_graph,
     components_reference,
+    cut_vertices_and_blocks_reference,
     cycle_graph,
     edge_set_reference,
     empty_graph,
+    find_hole_reference,
     hinge_vertices_reference,
+    is_comparability_bruteforce_reference,
     is_connected_reference,
     is_tree_t_spanner_reference,
     metrics_reference,
     mwis_interval_reference,
     mwis_permutation_reference,
+    next_to_shortest_reference,
     path_graph,
     reach_reference,
     separates_reference,
@@ -54,8 +61,15 @@ from isect.graph import (
     reach,
 )
 from isect.intervals import IntervalModel, build_interval_graph, mwis_interval
-from isect.oracles import _acyclic_within, brute_solve
+from isect.oracles import (
+    _acyclic_within,
+    are_isomorphic_bruteforce,
+    brute_solve,
+    find_hole,
+    is_comparability_bruteforce,
+)
 from isect.permutations import Permutation, build_permutation_graph, mwis_permutation
+from isect.trapezoids import check_cocomparability_order
 
 
 def test_build_normalizes_edges():
@@ -175,6 +189,16 @@ def test_weights_default_to_one():
 
 def test_complement_of_path():
     assert path_graph(4).complement().sorted_edges() == [(1, 3), (1, 4), (2, 4)]
+
+
+def test_has_edge_and_degree_outside_the_vertex_range():
+    # vertex n has a neighbour, so reading row -1 as row n would show
+    g = star_graph(4)
+    for x in (0, -1, g.n + 1):
+        assert not any(g.has_edge(x, y) or g.has_edge(y, x) for y in range(-1, g.n + 2))
+        with pytest.raises(KeyError):
+            g.degree(x)
+    assert [g.degree(v) for v in g.vertices()] == [4, 1, 1, 1, 1]
 
 
 def test_induced_relabels_and_maps_back():
@@ -506,3 +530,60 @@ def test_tree_spanner_check_matches_the_reference(case):
     g, h, t = case
     assert _outcome(is_tree_t_spanner, g, h, t) == _outcome(
         is_tree_t_spanner_reference, g, h, t)
+
+
+# -- readers of the edge array and bit rows against the frozenset readers --
+
+@st.composite
+def _reader_cases(draw):
+    n = draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    shape = draw(st.sampled_from(["random", "sparse", "dense", "interval", "tree", "cycle"]))
+    if shape == "interval":
+        ends = draw(st.permutations(range(1, 2 * n + 1)))
+        edges = build_interval_graph(IntervalModel.build(
+            [tuple(sorted(ends[2 * i:2 * i + 2])) for i in range(n)])).sorted_edges()
+    elif shape == "tree":
+        edges = [(draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)]
+    elif shape == "cycle":  # a ring through some vertices, with a few chords
+        ring = draw(st.permutations(range(1, n + 1)))[:draw(st.integers(0, n))]
+        edges = [(a, b) for a, b in zip(ring, ring[1:] + ring[:1]) if a != b]
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
+    else:
+        keep = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+        limit = {"sparse": 0, "random": 1, "dense": 2}[shape]
+        edges = [p for p, r in zip(pairs, keep) if r <= limit]
+    weights = draw(st.none() | st.just({v: Fraction(v, 2) for v in range(1, n + 1)}))
+    g = Graph.build(n, edges, weights)
+    order = tuple(draw(st.permutations(range(1, n + 1))))
+    twin = Graph.build(n, [(order[u - 1], order[v - 1]) for u, v in g.sorted_edges()])
+    other = Graph.build(n, draw(st.lists(st.sampled_from(pairs), max_size=len(edges)))
+                        if pairs else [])
+    ends = (draw(st.integers(0, n + 1)), draw(st.integers(0, n + 1)))
+    return g, order, (twin, other), ends, draw(st.integers(3, 6))
+
+
+def _solution(g, u, v):
+    sol = brute_solve(g, "next_to_shortest", u=u, v=v)
+    return sol.value, sol.witness
+
+
+@settings(max_examples=250, deadline=None)
+@given(_reader_cases())
+@example((Graph.build(0, []), (), (Graph.build(0, []),) * 2, (0, 1), 4))
+@example((cycle_graph(5), (1, 3, 5, 2, 4), (cycle_graph(5), path_graph(5)), (1, 3), 4))
+@example((complete_graph(8), tuple(range(8, 0, -1)), (complete_graph(8),) * 2, (1, 8), 3))
+def test_bit_row_readers_match_the_references(case):
+    g, order, others, (u, v), min_len = case
+    assert g.complement() == complement_reference(g)
+    assert cut_vertices_and_blocks(g) == cut_vertices_and_blocks_reference(g)
+    for seq in (order, tuple(g.vertices()), order[1:]):  # the last leaves a vertex out
+        assert _outcome(check_cocomparability_order, g, seq) == _outcome(
+            check_cocomparability_order_reference, g, seq)
+    assert find_hole(g, min_len) == find_hole_reference(g, min_len)
+    assert _outcome(is_comparability_bruteforce, g) == _outcome(
+        is_comparability_bruteforce_reference, g)
+    for h in others:
+        assert _outcome(are_isomorphic_bruteforce, g, h) == _outcome(
+            are_isomorphic_bruteforce_reference, g, h)
+    assert _outcome(_solution, g, u, v) == _outcome(next_to_shortest_reference, g, u, v)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isect import intervals
 from isect.errors import (
     BadParams,
     DisconnectedGraph,
@@ -124,6 +125,17 @@ def test_normalize_staggered_family():
     new = build_interval_graph(strict)
     mapped = {tuple(sorted((order[u - 1], order[v - 1]))) for u, v in new.edges}
     assert mapped == set(old.sorted_edges())
+
+
+def test_normalize_rejects_a_strict_build_that_loses_an_edge(monkeypatch):
+    def lossy(m):
+        g = build_interval_graph(m)
+        return Graph.build(g.n, g.edge_array[1:]) if m.strict else g
+
+    monkeypatch.setattr(intervals, "build_interval_graph", lossy)
+    with pytest.raises(MalformedModel) as err:
+        normalize(IntervalModel.build(STAGGERED))
+    assert str(err.value) == "normalization changed the intersection graph"
 
 
 rational = st.fractions(min_value=-12, max_value=12, max_denominator=6)
