@@ -149,18 +149,14 @@ def maximal_cliques_chordal(g: Graph) -> list[tuple[int, ...]]:
     return sorted(_set_of(c) for v, c in cliques.items() if v not in grown)
 
 
-def _separates(g: Graph, cut: frozenset[int], a: int, b: int) -> bool:
-    """No path from a to b avoids cut; a and b are distinct and outside cut."""
-    return not reach(g, 1 << (a - 1), ~_mask_of(cut)) >> (b - 1) & 1
-
-
 def _is_minimal_ab_separator(g: Graph, cut: frozenset[int], a: int, b: int) -> bool:
-    # a separating cut is minimal exactly when each cut vertex has neighbours
-    # on both sides: it joins them, and one missing a side could be dropped
-    if not _separates(g, cut, a, b):
-        return False
-    sides = [reach(g, 1 << (x - 1), ~_mask_of(cut)) for x in (a, b)]
-    return all(g.adj_bits[c] & side for c in cut for side in sides)
+    # cut separates a from b when their sides in G - cut are disjoint, and is
+    # then minimal exactly when each cut vertex has neighbours on both sides:
+    # it joins them, and one missing a side could be dropped
+    out = ~_mask_of(cut)
+    side_a, side_b = reach(g, 1 << (a - 1), out), reach(g, 1 << (b - 1), out)
+    return not side_a & side_b and all(
+        g.adj_bits[c] & side_a and g.adj_bits[c] & side_b for c in cut)
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,12 @@ class CliqueGraph:
 def clique_graph(g: Graph, *, max_n: int = 12) -> CliqueGraph:
     """Maximal cliques i < j, numbered from 1 in sorted order, are joined when
     their intersection is a minimal a,b-separator for every a only in clique
-    i and b only in clique j; mu maps each such edge to the intersection's size."""
+    i and b only in clique j; mu maps each such edge to the intersection's size.
+
+    One pair decides for all: with S the intersection, each clique less S
+    is a clique outside S, so it lies in one component of G - S, and the
+    test reads only those two components.  The smallest a and b are tried.
+    """
     if g.n > max_n:
         raise InstanceTooLarge(f"clique graph capped at n={max_n}, got n={g.n}")
     cliques = maximal_cliques_chordal(g)
@@ -184,9 +185,7 @@ def clique_graph(g: Graph, *, max_n: int = 12) -> CliqueGraph:
     mu = {}
     for i, j in itertools.combinations(range(len(cliques)), 2):
         inter = frozenset(sets[i] & sets[j])
-        if all(_is_minimal_ab_separator(g, inter, a, b)
-               for a in sorted(sets[i] - sets[j])
-               for b in sorted(sets[j] - sets[i])):
+        if _is_minimal_ab_separator(g, inter, min(sets[i] - inter), min(sets[j] - inter)):
             edge = (i + 1, j + 1)
             edges.append(edge)
             mu[edge] = len(inter)

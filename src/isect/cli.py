@@ -246,8 +246,8 @@ def _check_apsp(kind, count, seed) -> int:
     for i, (s, rng) in enumerate(_seeds(seed, count)):
         if got == "interval":
             n = 2 + rng.below(40)
-            mf = _connected_model("interval", n, rng,
-                                  {"strict": True, "connected": True})
+            mf = generate_model(GeneratorSpec("interval", n, rng.next_u64() >> 1,
+                                              {"strict": True, "connected": True}))
             dist = apsp_interval(mf.model)
         else:
             n = 2 + rng.below(30)

@@ -10,11 +10,13 @@ ever goes through floating point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, zip_longest
 from math import lcm
+from numbers import Integral
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -34,19 +36,43 @@ WeightsArg = Optional[object]
 
 
 def coerce_weights(n: int, weights: WeightsArg) -> list[Fraction]:
-    """Turn a weight argument into a dense list of non-negative rationals."""
+    """Turn a weight argument into a dense list of non-negative rationals.
+
+    The one weight rule, which ``Graph.build`` applies too but with
+    MalformedModel for BadParams: mapping keys are vertices 1..n, and
+    every value is a non-negative rational.
+    """
     if weights is None:
-        vals = [Fraction(1)] * n
-    elif isinstance(weights, Mapping):
-        vals = [Fraction(weights.get(r, 1)) for r in range(1, n + 1)]
-    else:
-        seq = list(weights)  # type: ignore[call-overload]
-        if len(seq) != n:
-            raise BadParams(f"expected {n} weights, got {len(seq)}")
-        vals = [Fraction(x) for x in seq]
-    for r, w in enumerate(vals, start=1):
-        if w < 0:
-            raise BadParams(f"negative weight {w} at vertex {r}")
+        return [Fraction(1)] * n
+    if isinstance(weights, Mapping):
+        given, one = _weight_map(n, weights, BadParams), Fraction(1)
+        return [given.get(r, one) for r in range(1, n + 1)]
+    seq = list(weights)  # type: ignore[call-overload]
+    if len(seq) != n:
+        raise BadParams(f"expected {n} weights, got {len(seq)}")
+    return _rationals(seq, range(1, n + 1), BadParams)
+
+
+def _weight_map(n: int, weights: Mapping, error: type) -> dict[int, Fraction]:
+    # the given keys only, so a sparse mapping on a large n stays small
+    ids = list(weights)
+    for v in ids:
+        if not (isinstance(v, Integral) and 1 <= v <= n):
+            raise error(f"weight for unknown vertex {v!r}")
+    return dict(zip(ids, _rationals([weights[v] for v in ids], ids, error)))
+
+
+def _rationals(seq: Sequence[object], ids: Sequence[int], error: type) -> list[Fraction]:
+    # seq as non-negative rationals; ids[k] is the vertex of seq[k]
+    vals: list[Fraction] = []
+    try:  # one try around the loop costs nothing per weight
+        for x in seq:
+            w = Fraction(x)  # type: ignore[arg-type]
+            if w < 0:
+                raise error(f"negative weight {w} at vertex {ids[len(vals)]}")
+            vals.append(w)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise error(f"weight {x!r} at vertex {ids[len(vals)]} is not a rational") from exc
     return vals
 
 
@@ -140,7 +166,14 @@ def _normalize_edge_array(edges: np.ndarray, n: int) -> np.ndarray:
 
 
 def _normalize_edge_pairs(edges: Iterable[tuple[int, int]], n: int) -> np.ndarray:
-    pairs = sorted({_normalize_edge(u, v, n) for u, v in edges})
+    found, item = set(), edges  # a non-iterable edges argument is named itself
+    try:  # one try around the loop costs nothing per pair
+        for item in edges:
+            u, v = item
+            found.add(_normalize_edge(u, v, n))
+    except (TypeError, ValueError) as exc:
+        raise MalformedModel(f"edge item {item!r} is not a pair of vertices") from exc
+    pairs = sorted(found)
     return np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
                        count=2 * len(pairs)).reshape(-1, 2)
 
@@ -176,14 +209,7 @@ class Graph:
         rows.flags.writeable = False
         wmap = None
         if weights is not None:
-            wmap = {}
-            for v, w in weights.items():
-                if not 1 <= v <= n:
-                    raise MalformedModel(f"weight for unknown vertex {v}")
-                wf = Fraction(w)
-                if wf < 0:
-                    raise MalformedModel(f"negative weight {wf} at vertex {v}")
-                wmap[v] = wf
+            wmap = _weight_map(n, weights, MalformedModel)
         return Graph(n, rows, wmap)
 
     def __eq__(self, other: object) -> bool:
@@ -430,70 +456,53 @@ def cut_vertices_and_blocks(g: Graph) -> tuple[frozenset[int], list[frozenset[in
     """Articulation vertices and biconnected blocks (as vertex sets).
 
     Blocks cover every edge; an isolated vertex forms a trivial block of
-    its own so that the block list always covers the vertex set.
+    its own so that the block list always covers the vertex set.  One
+    depth-first search with low points (Hopcroft & Tarjan, CACM 1973):
+    seen holds the visited vertices no block has taken yet, and when
+    child v of p finishes with low[v] >= disc[p], p and the entries of
+    seen from v on are a block, and those entries leave seen.  The cut
+    vertices are those in two or more blocks.
     """
-    n = g.n
-    disc = [0] * (n + 1)
-    low = [0] * (n + 1)
-    timer = [1]
-    cuts: set[int] = set()
+    adj = g.adj_bits
+    disc = [0] * (g.n + 1)
+    low = [0] * (g.n + 1)
+    at = [0] * (g.n + 1)  # each vertex's index in seen
     blocks: list[frozenset[int]] = []
-    edge_stack: list[tuple[int, int]] = []
-
-    def emit_block(until: tuple[int, int]) -> None:
-        members: set[int] = set()
-        while True:
-            e = edge_stack.pop()
-            members.add(e[0])
-            members.add(e[1])
-            if e == until:
-                break
-        blocks.append(frozenset(members))
-
+    t = 0
     for root in g.vertices():
         if disc[root]:
             continue
-        if not g.adj_bits[root]:
-            blocks.append(frozenset({root}))
-            disc[root] = timer[0]
-            timer[0] += 1
-            continue
-        # iterative DFS; stack entries are (vertex, parent, neighbor iterator)
-        stack = [(root, 0, iter(_set_of(g.adj_bits[root])))]
-        disc[root] = low[root] = timer[0]
-        timer[0] += 1
-        root_children = 0
+        t += 1
+        disc[root] = low[root] = t
+        seen = [root]
+        # iterative DFS; stack entries are (vertex, parent, neighbour iterator)
+        stack = [(root, 0, iter(_set_of(adj[root])))]
         while stack:
             v, parent, it = stack[-1]
-            advanced = False
             for w in it:
-                if w == parent:
-                    continue
                 if not disc[w]:
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = timer[0]
-                    timer[0] += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, v, iter(_set_of(g.adj_bits[w]))))
-                    advanced = True
+                    t += 1
+                    disc[w] = low[w] = t
+                    at[w] = len(seen)
+                    seen.append(w)
+                    stack.append((w, v, iter(_set_of(adj[w]))))
                     break
-                if disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    emit_block((pv, v))
-                    if pv != root:
-                        cuts.add(pv)
-        if root_children > 1:
-            cuts.add(root)
-    return frozenset(cuts), blocks
+                # a finished descendant was discovered later and lowers nothing
+                if w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] >= disc[p]:
+                        blocks.append(frozenset(seen[at[v]:] + [p]))
+                        del seen[at[v]:]
+        if not adj[root]:
+            blocks.append(frozenset({root}))
+    shared = Counter(chain.from_iterable(blocks))
+    return frozenset(v for v, k in shared.items() if k > 1), blocks
 
 
 def is_tree_t_spanner(g: Graph, h: Graph, t) -> bool:

@@ -74,10 +74,6 @@ class PointRelation:
     directly_non_connected: bool
 
 
-def _non_connected(p: Point, q: Point) -> bool:
-    return (p[0] < q[0] and p[1] < q[1]) or (p[0] > q[0] and p[1] > q[1])
-
-
 def point_relation(rep: PointRep, p: Point, q: Point) -> PointRelation:
     """How two points of the representation relate.
 
@@ -90,13 +86,10 @@ def point_relation(rep: PointRep, p: Point, q: Point) -> PointRelation:
         raise MalformedModel("relation queries need points of the representation")
     if p == q:
         raise MalformedModel("relation queries need two distinct points")
-    if not _non_connected(p, q):
+    lo, hi = sorted((p, q))
+    if not (lo[0] < hi[0] and lo[1] < hi[1]):
         return PointRelation(True, False)
-    lo, hi = (p, q) if p[0] < q[0] else (q, p)
-    direct = not any(
-        lo[0] < r[0] < hi[0] and lo[1] < r[1] < hi[1]
-        and _non_connected(lo, r) and _non_connected(r, hi)
-        for r in rep.points)
+    direct = not any(lo[0] < r[0] < hi[0] and lo[1] < r[1] < hi[1] for r in rep.points)
     return PointRelation(False, direct)
 
 
@@ -117,15 +110,14 @@ def complement_permutation(p: Permutation) -> Permutation:
 
 def _direct_children(points: Sequence[Point], base: Point) -> tuple[Point, ...]:
     # the immediate dominance successors: above and right of base with an
-    # empty open box in between
-    out = []
+    # empty open box in between.  points run by increasing first coordinate,
+    # so such a q is one exactly when no earlier such point lies below it;
+    # the kept points fall in their second coordinate, and the last is lowest
+    out: list[Point] = []
     for q in points:
-        if not (q[0] > base[0] and q[1] > base[1]):
-            continue
-        if any(base[0] < r[0] < q[0] and base[1] < r[1] < q[1] for r in points):
-            continue
-        out.append(q)
-    return tuple(sorted(out))
+        if q[0] > base[0] and q[1] > base[1] and (not out or q[1] < out[-1][1]):
+            out.append(q)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -153,16 +145,13 @@ def build_mis_tree(p: Permutation, cap: Optional[int] = None) -> MISTree:
     n = p.n
     if cap is None:
         cap = 10 * n * n if n else 1
-    rep = PointRep.from_permutation(p)
-    pts = rep.points
-    children: dict[Point, tuple[Point, ...]] = {ORIGIN: _direct_children(pts, ORIGIN)}
-    for q in pts:
-        children[q] = _direct_children(pts, q)
-    # points sorted by decreasing first coordinate see their children first
+    pts = (ORIGIN, *PointRep.from_permutation(p).points)  # by increasing first coordinate
+    children = {q: _direct_children(pts, q) for q in pts}
+    # children lie right of their parent, so right to left sees them first
     counts: dict[Point, int] = {}
-    for q in sorted(pts, reverse=True):
+    for q in reversed(pts):
         counts[q] = 1 + sum(counts[c] for c in children[q])
-    total = 1 + sum(counts[c] for c in children[ORIGIN])
+    total = counts[ORIGIN]
     if total > cap:
         raise NodeBudgetExceeded(f"chain tree has {total} nodes, cap is {cap}")
     return MISTree(ORIGIN, children, total, cap)

@@ -17,6 +17,7 @@ from isect.errors import (
     InfeasibleProblem,
     InstanceTooLarge,
     MalformedModel,
+    NodeBudgetExceeded,
     NotChordal,
     NotSubgraph,
     UndefinedForDisconnected,
@@ -40,7 +41,7 @@ from isect.oracles import (
     _mask_connected,
     _set_of,
 )
-from isect.permutations import Permutation
+from isect.permutations import ORIGIN, MISTree, Permutation, Point, PointRelation, PointRep
 from isect.rng import SplitMix64
 
 
@@ -1004,3 +1005,56 @@ def are_isomorphic_bruteforce_reference(g: Graph, h: Graph, *, max_n: int = 8) -
                for u, v in g.edges):
             return True
     return False
+
+
+# The MIS tree and point relation as they were before the one-pass
+# dominance sweep: every candidate child checked against an open box over
+# all points, and the box test with both non-connected tests beside it.
+# test_permutations.py compares the live code with these.
+
+def _non_connected_reference(p: Point, q: Point) -> bool:
+    return (p[0] < q[0] and p[1] < q[1]) or (p[0] > q[0] and p[1] > q[1])
+
+
+def point_relation_reference(rep: PointRep, p: Point, q: Point) -> PointRelation:
+    known = set(rep.points) | {ORIGIN}
+    if p not in known or q not in known:
+        raise MalformedModel("relation queries need points of the representation")
+    if p == q:
+        raise MalformedModel("relation queries need two distinct points")
+    if not _non_connected_reference(p, q):
+        return PointRelation(True, False)
+    lo, hi = (p, q) if p[0] < q[0] else (q, p)
+    direct = not any(
+        lo[0] < r[0] < hi[0] and lo[1] < r[1] < hi[1]
+        and _non_connected_reference(lo, r) and _non_connected_reference(r, hi)
+        for r in rep.points)
+    return PointRelation(False, direct)
+
+
+def direct_children_reference(points, base: Point) -> tuple[Point, ...]:
+    out = []
+    for q in points:
+        if not (q[0] > base[0] and q[1] > base[1]):
+            continue
+        if any(base[0] < r[0] < q[0] and base[1] < r[1] < q[1] for r in points):
+            continue
+        out.append(q)
+    return tuple(sorted(out))
+
+
+def build_mis_tree_reference(p: Permutation, cap: Optional[int] = None) -> MISTree:
+    n = p.n
+    if cap is None:
+        cap = 10 * n * n if n else 1
+    pts = PointRep.from_permutation(p).points
+    children = {ORIGIN: direct_children_reference(pts, ORIGIN)}
+    for q in pts:
+        children[q] = direct_children_reference(pts, q)
+    counts: dict[Point, int] = {}
+    for q in sorted(pts, reverse=True):
+        counts[q] = 1 + sum(counts[c] for c in children[q])
+    total = 1 + sum(counts[c] for c in children[ORIGIN])
+    if total > cap:
+        raise NodeBudgetExceeded(f"chain tree has {total} nodes, cap is {cap}")
+    return MISTree(ORIGIN, children, total, cap)

@@ -281,9 +281,23 @@ def test_found_orderings_agree_with_the_check():
 def _chordal_cases(draw):
     n = draw(st.integers(0, 10))
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    shape = draw(st.sampled_from(["random", "split", "tree", "interval", "hole"]))
+    shape = draw(st.sampled_from(["random", "split", "tree", "interval", "chordal", "hole"]))
     if shape == "tree":
         edges = [(draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)]
+    elif shape == "chordal":
+        # k joins some u < k and part of u's earlier neighbours, a clique by
+        # induction, so n..1 is a perfect elimination order.  From n = 7 on,
+        # 1..7 are a claw with legs 1-2-3, 1-4-5, 1-6-7: 3, 5 and 7 are an
+        # asteroidal triple, which no interval graph has, and the vertices
+        # joined later, to cliques, keep it one
+        back: dict[int, list[int]] = {1: []}
+        for k in range(2, n + 1):
+            if n >= 7 and k <= 7:
+                back[k] = [(1, 2, 1, 4, 1, 6)[k - 2]]
+            else:
+                u = draw(st.integers(1, k - 1))
+                back[k] = [u] + [x for x in back[u] if draw(st.booleans())]
+        edges = [(x, k) for k in back for x in back[k]]
     elif shape == "interval":
         ends = draw(st.permutations(range(1, 2 * n + 1)))
         edges = build_interval_graph(IntervalModel.build(

@@ -26,6 +26,7 @@ from helpers import (
     hinge_vertices_reference,
     is_comparability_bruteforce_reference,
     is_connected_reference,
+    is_minimal_ab_separator_reference,
     is_tree_t_spanner_reference,
     metrics_reference,
     mwis_interval_reference,
@@ -33,12 +34,12 @@ from helpers import (
     next_to_shortest_reference,
     path_graph,
     reach_reference,
-    separates_reference,
     star_graph,
 )
 from isect.arcs import ArcModel, build_circular_arc_graph, mwis_circular_arc
-from isect.chordal import _separates
+from isect.chordal import _is_minimal_ab_separator
 from isect.errors import (
+    BadParams,
     DisconnectedGraph,
     IsectError,
     MalformedModel,
@@ -86,6 +87,39 @@ def test_build_rejects_bad_edges():
         Graph.build(3, [(1, 4)])
     with pytest.raises(MalformedModel):
         Graph.build(3, [(0, 2)])
+
+
+@pytest.mark.parametrize("edges", [[(1, 2, 3)], [1, 2]], ids=["triple", "flat"])
+def test_build_rejects_malformed_pairs(edges):
+    with pytest.raises(MalformedModel) as err:
+        Graph.build(3, edges)
+    assert str(err.value) == f"edge item {edges[0]!r} is not a pair of vertices"
+
+
+@pytest.mark.parametrize("weights, message", [
+    ({99: 5}, "weight for unknown vertex 99"),
+    ({4: 5}, "weight for unknown vertex 4"),
+    ({0: 5}, "weight for unknown vertex 0"),
+    ({"a": 5}, "weight for unknown vertex 'a'"),
+    ({1: "x"}, "weight 'x' at vertex 1 is not a rational"),
+    ({3: None}, "weight None at vertex 3 is not a rational"),
+    ({2: -1}, "negative weight -1 at vertex 2"),
+    (["x", 1, 1], "weight 'x' at vertex 1 is not a rational"),
+    ([1, 1, None], "weight None at vertex 3 is not a rational"),
+    ([1, 1], "expected 3 weights, got 2"),
+], ids=["far", "above", "zero", "str-key", "str", "none", "negative", "seq-str", "seq-none", "short"])
+def test_one_weight_rule_for_the_solvers_and_build(weights, message):
+    models = [(mwis_interval, IntervalModel.build([(0, 1), (2, 3), (4, 5)])),
+              (mwis_circular_arc, ArcModel.build([(0, 1), (2, 3), (4, 5)])),
+              (mwis_permutation, Permutation.build([3, 1, 2]))]
+    for solve, model in models:
+        with pytest.raises(BadParams) as err:
+            solve(model, weights)
+        assert str(err.value) == message
+    if isinstance(weights, dict):  # Graph.build takes a vertex-keyed mapping
+        with pytest.raises(MalformedModel) as err:
+            Graph.build(3, [(1, 2)], weights)
+        assert str(err.value) == message
 
 
 def test_build_takes_an_edge_array():
@@ -482,7 +516,7 @@ def test_frontier_walk_matches_the_reference_helpers(case):
     assert _acyclic_within(g, within) == acyclic_within_reference(g, within)
     assert balls(g, k) == balls_reference(g, k)
     if cut is not None:
-        assert _separates(g, *cut) == separates_reference(g, *cut)
+        assert _is_minimal_ab_separator(g, *cut) == is_minimal_ab_separator_reference(g, *cut)
     assert _outcome(hinge_vertices, g) == _outcome(hinge_vertices_reference, g)
     # Metrics leaves ecc out of ==, so compare every field
     assert _outcome(lambda h: vars(metrics(h)), g) == _outcome(

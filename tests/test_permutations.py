@@ -2,7 +2,10 @@ from fractions import Fraction
 from itertools import permutations as all_perms
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import build_mis_tree_reference, direct_children_reference, point_relation_reference
 from isect.errors import MalformedModel, NodeBudgetExceeded, NotAPermutation
 from isect.graph import Graph
 from isect.oracles import brute_solve, maximal_independent_sets
@@ -11,6 +14,7 @@ from isect.permutations import (
     MISTree,
     Permutation,
     PointRep,
+    _direct_children,
     build_mis_tree,
     build_permutation_graph,
     complement_permutation,
@@ -174,6 +178,39 @@ def test_tree_paths_are_chains():
                 walk(c, path + [c])
 
         walk(ORIGIN, [])
+
+
+@st.composite
+def _tree_cases(draw):
+    n = draw(st.integers(0, 40))
+    p = Permutation.build(draw(st.permutations(range(1, n + 1))))
+    cap = draw(st.none() | st.integers(1, 10 * n * n + 1))
+    pts = [ORIGIN, *PointRep.from_permutation(p).points, (n + 1, n + 1)]  # the last is foreign
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), max_size=30))
+    return p, cap, pairs
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (MalformedModel, NodeBudgetExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tree_cases())
+@example((identity(0), None, [(ORIGIN, ORIGIN)]))
+@example((identity(40), None, [(ORIGIN, (40, 40)), ((1, 1), (40, 40)), ((3, 3), (2, 2))]))
+@example((reversal(40), None, [(ORIGIN, (1, 40)), ((1, 40), (40, 1))]))
+@example((reversal(40), 40, []))
+def test_mis_tree_matches_the_reference(case):
+    p, cap, pairs = case
+    rep = PointRep.from_permutation(p)
+    for base in (ORIGIN, *rep.points):
+        assert _direct_children(rep.points, base) == direct_children_reference(rep.points, base)
+    assert _outcome(build_mis_tree, p, cap) == _outcome(build_mis_tree_reference, p, cap)
+    for a, b in pairs:
+        assert _outcome(point_relation, rep, a, b) == _outcome(point_relation_reference, rep, a, b)
 
 
 # -- maximal independent sets ------------------------------------------------
