@@ -46,19 +46,24 @@ class ArcModel:
     def build(arcs: Iterable[tuple[object, object]]) -> "ArcModel":
         pairs: list[ArcPair] = []
         for k, arc in enumerate(arcs, start=1):
-            h, t = rational_pair(arc, "arc", k)
-            if h == t:
-                raise SharedEndpoint(f"arc {k} has coinciding endpoints")
-            pairs.append((h, t))
-        seen: dict[Fraction, int] = {}
-        for k, (h, t) in enumerate(pairs, start=1):
-            for x in (h, t):
-                if x in seen:
-                    raise SharedEndpoint(
-                        f"arcs {seen[x]} and {k} share the endpoint {x}")
-                seen[x] = k
+            try:
+                pairs.append(rational_pair(arc, "arc", k))
+            except Exception:
+                _coinciding(pairs)  # an earlier arc's fault comes first
+                raise
         model = ArcModel(tuple(pairs))
-        model.spans  # rank the endpoints now, once, while the model is built
+        # rank the endpoints now, once: the 2n dense ranks are distinct
+        # exactly when the largest is 2n, and only when they are not are
+        # the rationals compared, to name the first fault
+        if max(map(max, model.spans), default=0) != 2 * model.n:
+            _coinciding(pairs)
+            seen: dict[Fraction, int] = {}
+            for k, (h, t) in enumerate(pairs, start=1):
+                for x in (h, t):
+                    if x in seen:
+                        raise SharedEndpoint(
+                            f"arcs {seen[x]} and {k} share the endpoint {x}")
+                    seen[x] = k
         return model
 
     @property
@@ -87,6 +92,13 @@ class ArcModel:
     def covers_circle(self) -> bool:
         """Every point of the circle lies on some arc."""
         return self.n > 0 and _uncovered_gap(self.spans) is None
+
+
+def _coinciding(pairs: Sequence[ArcPair]) -> None:
+    # names the first arc whose head is its tail, if any
+    for k, (h, t) in enumerate(pairs, start=1):
+        if h == t:
+            raise SharedEndpoint(f"arc {k} has coinciding endpoints")
 
 
 def _reach_table(spans: Sequence[Span]) -> np.ndarray:

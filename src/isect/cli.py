@@ -100,8 +100,10 @@ def _cmd_build(args) -> int:
 def _interval_clique(m) -> list[int]:
     # a maximum clique is maximal: the largest, then least, sorted list
     strict, order = normalize(m)
-    cliques = [sorted(order[v - 1] for v in c) for c in maximal_cliques_interval(strict)]
-    return min(cliques, key=lambda c: (-len(c), c), default=[])
+    cliques = maximal_cliques_interval(strict)
+    top = max(map(len, cliques), default=0)
+    return min((sorted(order[v - 1] for v in c) for c in cliques if len(c) == top),
+               default=[])
 
 
 # structured solvers by (kind, problem), each called as solver(model file,

@@ -4,8 +4,10 @@ chords of a circle, disk points, boxes, and the line-graph operator.
 Arithmetic is exact throughout: progressions meet via modular reasoning,
 disk adjacency compares squared rational distances, and infinite
 tolerance is the symbolic math.inf, never a large stand-in number.
-The disk and tolerance builders compare the rationals times their common
-denominator, as Python integers in object arrays: no float, no overflow.
+The dotted, disk and tolerance builders compare integers: the rationals
+times their common denominator, as int64 when every one is below 2**30
+in absolute value, so no product they form overflows, and as Python
+integers in object arrays otherwise.  No float is ever involved.
 """
 
 from __future__ import annotations
@@ -32,16 +34,25 @@ INFINITE_TOLERANCE = math.inf
 
 
 def _frac(x: object, what: str) -> Fraction:
+    if type(x) is Fraction:
+        return x
     try:
         return Fraction(x)  # type: ignore[arg-type]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedModel(f"{what} is not rational: {x!r}") from exc
 
 
+# scaled values below this in absolute value are int64: a sum of two
+# squared differences, or a product of two jumps, stays below 2**63
+_SMALL = 1 << 30
+
+
 def _integers(xs: Sequence[Fraction]) -> np.ndarray:
-    # the rationals times their common denominator, as exact Python integers
+    # the rationals (or ints) times their common denominator
     den = common_denominator(xs)
-    return np.array([x.numerator * (den // x.denominator) for x in xs], dtype=object)
+    vals = [x.numerator * (den // x.denominator) for x in xs]
+    small = -_SMALL < min(vals, default=0) and max(vals, default=0) < _SMALL
+    return np.array(vals, dtype=np.int64 if small else object)
 
 
 @dataclass(frozen=True)
@@ -90,13 +101,48 @@ def dotted_intersect(x: DottedInterval, y: DottedInterval) -> bool:
     return z <= hi
 
 
+def _bezout(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # g = gcd(a, b) and x with a*x = g mod b, elementwise for positive a, b:
+    # extended Euclid on every lane at once, a lane held once its remainder is 0
+    g, r = np.broadcast_arrays(a, b)
+    x, y = np.ones_like(g), np.zeros_like(g)
+    while np.any(r):
+        live = r != 0
+        q = g // np.where(live, r, 1)
+        g, r = np.where(live, r, g), np.where(live, g - q * r, r)
+        x, y = np.where(live, y, x), np.where(live, x - q * y, y)
+    return g, x
+
+
 def build_ddig(items: Sequence[DottedInterval]) -> tuple[Graph, int]:
+    """Edge iff the progressions share an integer, with the largest jump.
+
+    ``dotted_intersect``'s congruence test over blocks of pairs, each
+    block running one extended Euclid on its pairs of jumps.  Up to
+    n = 21, numpy's fixed cost is more than testing each pair: the two
+    cross between n = 20 and 22 on the generator's dotted models.
+    """
     n = len(items)
-    edges = [(i, j)
-             for i in range(1, n + 1)
-             for j in range(i + 1, n + 1)
-             if dotted_intersect(items[i - 1], items[j - 1])]
-    return Graph.build(n, edges), max((it.d for it in items), default=0)
+    if n <= 21:
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if dotted_intersect(items[i - 1], items[j - 1])]
+        return Graph.build(n, edges), max((it.d for it in items), default=0)
+    s, t, d = _integers([v for it in items for v in (it.s, it.t, it.d)]).reshape(-1, 3).T
+
+    def meets(I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        # inv: d[I] / g inverted modulo d[J] / g
+        g, inv = _bezout(d[I], d[J])
+        lo, hi = np.maximum(s[I], s[J]), np.minimum(t[I], t[J])
+        gap = s[J] - s[I]
+        # the one solution z = s[I] + k d[I] below s[I] plus the lcm of the
+        # jumps, then the first of them at or past lo
+        k = gap // g * inv % (d[J] // g)
+        step = d[I] // g * d[J]
+        z = s[I] + k * d[I]
+        z = z - (z - lo) // step * step
+        return (lo <= hi) & (gap % g == 0) & (z <= hi)
+
+    return pairs_graph(n, meets), int(d.max())
 
 
 @dataclass(frozen=True)
@@ -147,14 +193,14 @@ def build_tolerance_graph(rep: ToleranceRep) -> Graph:
 
     Length is measure, not point count, so touching intervals overlap
     with length zero and point intervals are always isolated; disjoint
-    ones overlap by a negative length.  An infinite tolerance becomes one
-    more than the widest overlap any pair can have, so none reaches it.
+    ones overlap by a negative length.  An infinite tolerance becomes a
+    number past the widest overlap any pair can have, so none reaches it.
     """
     finite = np.array([t != INFINITE_TOLERANCE for t in rep.tolerances], dtype=bool)
     vals = _integers([x for iv in rep.intervals for x in iv]
                      + [t for t, f in zip(rep.tolerances, finite) if f])
     lo, hi = vals[:2 * rep.n].reshape(-1, 2).T
-    tol = np.full(rep.n, max(hi, default=0) - min(lo, default=0) + 1, dtype=object)
+    tol = np.full(rep.n, hi.max(initial=0) - lo.min(initial=0) + 1, dtype=vals.dtype)
     tol[finite] = vals[2 * rep.n:]
 
     def tolerated(I: np.ndarray, J: np.ndarray) -> np.ndarray:

@@ -67,8 +67,9 @@ def _rationals(seq: Sequence[object], ids: Sequence[int], error: type) -> list[F
     vals: list[Fraction] = []
     try:  # one try around the loop costs nothing per weight
         for x in seq:
-            w = Fraction(x)  # type: ignore[arg-type]
-            if w < 0:
+            # a Fraction is kept: Fraction(x) would re-make it past an ABC check
+            w = x if type(x) is Fraction else Fraction(x)  # type: ignore[arg-type]
+            if w.numerator < 0:
                 raise error(f"negative weight {w} at vertex {ids[len(vals)]}")
             vals.append(w)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -121,10 +122,12 @@ def lex_trim(chosen: Sequence[int], w: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 def rational_pair(item: object, what: str, k: int) -> tuple[Fraction, Fraction]:
-    """Item k of a model, two values such as an interval's ends, as rationals."""
+    """Item k of a model, two values such as an interval's ends, as rationals;
+    a value that is a Fraction already is kept as it is."""
     try:
         x, y = item  # type: ignore[misc]
-        return Fraction(x), Fraction(y)
+        return (x if type(x) is Fraction else Fraction(x),
+                y if type(y) is Fraction else Fraction(y))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedModel(f"{what} {k} is not a pair of rationals: {item!r}") from exc
 
@@ -141,6 +144,8 @@ def _normalize_edge(u: int, v: int, n: int) -> tuple[int, int]:
 
 # vertex ids are stored as int64
 _MAX_VERTICES = (1 << 63) - 1
+# below this n an edge row sorts by the one key lo * (n + 1) + hi < 2**63
+_ONE_KEY_VERTICES = 1 << 31
 
 
 def _normalize_edge_array(edges: np.ndarray, n: int) -> np.ndarray:
@@ -158,7 +163,9 @@ def _normalize_edge_array(edges: np.ndarray, n: int) -> np.ndarray:
     lo, hi = rows.T
     # rows already strictly increasing, as pairs_graph makes them, skip the sort
     if not np.all((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))):
-        rows = rows[np.lexsort((hi, lo))]
+        # one int64 key orders the rows as (lo, hi) does while n(n + 2) fits
+        rows = rows[np.argsort(lo * (n + 1) + hi) if n < _ONE_KEY_VERTICES
+                    else np.lexsort((hi, lo))]
         fresh = np.ones(len(rows), dtype=bool)
         fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
         rows = rows[fresh]

@@ -51,15 +51,18 @@ class IntervalModel:
     @staticmethod
     def build(intervals: Iterable[tuple[object, object]],
               strict: bool = False) -> "IntervalModel":
-        pairs = []
+        pairs: list[tuple[Fraction, Fraction]] = []
         for r, pair in enumerate(intervals, start=1):
-            a, b = rational_pair(pair, "interval", r)
-            if a >= b:
-                raise MalformedModel(
-                    f"interval {r}: [{a}, {b}] has no interior; points are rejected")
-            pairs.append((a, b))
+            try:
+                pairs.append(rational_pair(pair, "interval", r))
+            except Exception:
+                _interior(pairs)  # an earlier point is the first fault
+                raise
         model = IntervalModel(tuple(pairs), strict)
         spans = model.spans  # rank the endpoints now, once, while the model is built
+        # ranks keep every comparison, so the interior test reads them, not the rationals
+        if any(a >= b for a, b in spans):
+            _interior(pairs)
         if strict:
             # dense ranks reach 2n exactly when all 2n endpoints differ
             if max((b for _, b in spans), default=0) != 2 * model.n:
@@ -82,6 +85,14 @@ class IntervalModel:
 
     def right(self, r: int) -> Fraction:
         return self.intervals[r - 1][1]
+
+
+def _interior(pairs: Sequence[tuple[Fraction, Fraction]]) -> None:
+    # names the first interval with no interior, if any
+    for r, (a, b) in enumerate(pairs, start=1):
+        if a >= b:
+            raise MalformedModel(
+                f"interval {r}: [{a}, {b}] has no interior; points are rejected")
 
 
 def rank_pairs(pairs: Sequence[tuple[Fraction, Fraction]]) -> tuple[tuple[int, int], ...]:

@@ -4,6 +4,8 @@ A file is an object {"kind": ..., "items": [...]} with optional
 "weights", plus "r" for disks; any other top-level key is an error.
 Exact rationals travel as strings like "3/4" (or decimals without an
 exponent); floats are rejected so no value is ever silently rounded.
+Each value becomes a rational once, where it is read; every later check
+works on those rationals or on their integer ranks.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -80,10 +83,30 @@ def _field(rec: Mapping[str, object], name: str, path: str) -> object:
     return rec[name]
 
 
-def _by_id(items: Sequence[object], row) -> list[tuple]:
-    """One row per item, read by ``row(record, path)``, ordered by id 1..n."""
+# JSON holds no int subclass but bool, so `type(x) is int` is _integer's test
+_INT = {int}
+
+
+def _by_id(items: Sequence[object], names: tuple[str, ...], row=None,
+           exact=Fraction) -> list[tuple]:
+    """One row per item, ordered by id 1..n.
+
+    An item that is a dict with an int id not yet seen and int fields
+    ``names`` becomes ``exact`` of each field.  Any other is read by
+    ``row(record, path)``, by default the fields as rationals, which
+    names its fault.
+    """
+    take = itemgetter("id", *names)
+    row = row or _numbers(*names)
     rows: dict[int, tuple] = {}
     for k, raw in enumerate(items):
+        try:
+            got = take(raw)  # KeyError for a missing field, TypeError for a non-dict
+        except (KeyError, TypeError):
+            got = ()
+        if names and set(map(type, got)) == _INT and got[0] not in rows:
+            rows[got[0]] = tuple(map(exact, got[1:]))
+            continue
         here = f"$.items[{k}]"
         rec = _record(raw, here)
         ident = _integer(_field(rec, "id", here), f"{here}.id")
@@ -128,6 +151,10 @@ def _weights(doc: Mapping[str, object], n: int) -> Optional[tuple[Fraction, ...]
     if isinstance(raw, list):
         if len(raw) != n:
             raise SchemaError(f"expected {n} weights, got {len(raw)}", path)
+        if set(map(type, raw)) <= _INT:
+            # weights repeat: one Fraction per distinct value
+            exact = {v: Fraction(v) for v in set(raw)}
+            return tuple(map(exact.__getitem__, raw))
         return tuple(_number(v, f"{path}[{k}]") for k, v in enumerate(raw))
     raise SchemaError("weights must be a list or an id-keyed object", path)
 
@@ -179,7 +206,7 @@ def _wrap(build, *args):
 
 
 def _num_out(x) -> object:
-    f = Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
@@ -200,7 +227,7 @@ def _tolerance_row(rec, here):
 
 
 def _parse_tolerance(doc, items):
-    rows = _by_id(items, _tolerance_row)
+    rows = _by_id(items, ("a", "b", "tol"), _tolerance_row)
     return _wrap(ToleranceRep.build,
                  [(a, b) for a, b, _ in rows], [t for _, _, t in rows])
 
@@ -219,7 +246,7 @@ def _box_row(rec, here):
 
 
 def _parse_boxes(doc, items):
-    rows = _by_id(items, _box_row)
+    rows = _by_id(items, (), _box_row)
     return _wrap(KBoxModel.build, len(rows[0]) if rows else 1, rows)
 
 
@@ -229,9 +256,8 @@ def _parse_graph(doc, items):
     raw_edges = _field(rec, "edges", "$.items[0]")
     if not isinstance(raw_edges, list):
         raise SchemaError("edges must be a list", "$.items[0].edges")
-    # JSON holds no int subclass but bool, so `type(x) is int` is _integer's test
     if not (set(map(type, raw_edges)) <= {list} and set(map(len, raw_edges)) <= {2}
-            and set(map(type, chain.from_iterable(raw_edges))) <= {int}):
+            and set(map(type, chain.from_iterable(raw_edges))) <= _INT):
         for k, e in enumerate(raw_edges):
             path = f"$.items[0].edges[{k}]"
             if not isinstance(e, list) or len(e) != 2:
@@ -253,11 +279,11 @@ def _parse_graph(doc, items):
 _FORMATS = {
     "interval": (
         lambda doc, items: _wrap(IntervalModel.build,
-                                 _by_id(items, _numbers("a", "b"))),
+                                 _by_id(items, ("a", "b"))),
         lambda m: {"items": [{"id": i, "a": _num_out(a), "b": _num_out(b)}
                              for i, (a, b) in enumerate(m.intervals, start=1)]}),
     "arcs": (
-        lambda doc, items: _wrap(ArcModel.build, _by_id(items, _numbers("h", "t"))),
+        lambda doc, items: _wrap(ArcModel.build, _by_id(items, ("h", "t"))),
         lambda m: {"items": [{"id": i, "h": _num_out(h), "t": _num_out(t)}
                              for i, (h, t) in enumerate(m.arcs, start=1)]}),
     "permutation": (
@@ -265,13 +291,13 @@ _FORMATS = {
         lambda p: {"items": [{"pi": list(p.pi)}]}),
     "trapezoid": (
         lambda doc, items: _wrap(TrapezoidModel.build, [
-            _integers(row) for row in _by_id(items, _numbers("a", "b", "c", "d"))]),
+            _integers(row) for row in _by_id(items, ("a", "b", "c", "d"), exact=int)]),
         lambda m: {"items": [{"id": i, "a": a, "b": b, "c": c, "d": d}
                              for i, (a, b, c, d) in enumerate(m.items, start=1)]}),
     "dotted": (
         lambda doc, items: tuple(
             _wrap(DottedInterval.build, *_integers(row))
-            for row in _by_id(items, _numbers("s", "t", "d"))),
+            for row in _by_id(items, ("s", "t", "d"), exact=int)),
         lambda m: {"items": [{"id": i, "s": it.s, "t": it.t, "d": it.d}
                              for i, it in enumerate(m, start=1)]}),
     "tolerance": (
@@ -282,11 +308,11 @@ _FORMATS = {
             for i, ((a, b), t) in enumerate(zip(m.intervals, m.tolerances), start=1)]}),
     "chords": (
         lambda doc, items: _wrap(ChordModel.build, [
-            _integers(row) for row in _by_id(items, _numbers("x", "y"))]),
+            _integers(row) for row in _by_id(items, ("x", "y"), exact=int)]),
         lambda m: {"items": [{"id": i, "x": x, "y": y}
                              for i, (x, y) in enumerate(m.chords, start=1)]}),
     "disks": (
-        lambda doc, items: _wrap(DiskPoints.build, _by_id(items, _numbers("x", "y")),
+        lambda doc, items: _wrap(DiskPoints.build, _by_id(items, ("x", "y")),
                                  _number(_field(doc, "r", "$"), "$.r")),
         lambda m: {"r": _num_out(m.r),
                    "items": [{"id": i, "x": _num_out(x), "y": _num_out(y)}

@@ -11,6 +11,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from isect.chordal import MAX_NEIGHBOURHOOD, PERFECT, STRONG, CliqueGraph, Ordering
+from isect.arcs import ArcModel
 from isect.errors import (
     BadParams,
     DisconnectedGraph,
@@ -19,7 +20,10 @@ from isect.errors import (
     MalformedModel,
     NodeBudgetExceeded,
     NotChordal,
+    NotStrict,
     NotSubgraph,
+    SchemaError,
+    SharedEndpoint,
     UndefinedForDisconnected,
 )
 from isect.geom import DiskPoints, KBoxModel, ToleranceRep
@@ -33,6 +37,7 @@ from isect.graph import (
     coerce_weights,
 )
 from isect.intervals import IntervalModel, overlaps
+from isect.modelfile import _field, _integer, _number, _record
 from isect.oracles import (
     DEFAULT_ORACLE_BOUND,
     DEFAULT_PATH_ORACLE_BOUND,
@@ -1058,3 +1063,109 @@ def build_mis_tree_reference(p: Permutation, cap: Optional[int] = None) -> MISTr
     if total > cap:
         raise NodeBudgetExceeded(f"chain tree has {total} nodes, cap is {cap}")
     return MISTree(ORIGIN, children, total, cap)
+
+
+# The model reader and the two rank-checked constructors as they were
+# before each value became a rational once: every item read field by field
+# with its path, every value re-made by Fraction(x), and the interval and
+# arc checks on the rationals.  test_modelfile.py parses through these and
+# through the live code and compares the results.
+
+def by_id_reference(items, row) -> list[tuple]:
+    rows: dict[int, tuple] = {}
+    for k, raw in enumerate(items):
+        here = f"$.items[{k}]"
+        rec = _record(raw, here)
+        ident = _integer(_field(rec, "id", here), f"{here}.id")
+        if ident in rows:
+            raise SchemaError(f"duplicate id {ident}", here)
+        rows[ident] = row(rec, here)
+    n = len(items)
+    if sorted(rows) != list(range(1, n + 1)):
+        raise SchemaError(f"ids must cover 1..{n} exactly", "$.items")
+    return [rows[i] for i in range(1, n + 1)]
+
+
+def numbers_reference(*names: str):
+    return lambda rec, here: tuple(_number(_field(rec, f, here), f"{here}.{f}")
+                                   for f in names)
+
+
+def weights_reference(doc, n: int):
+    raw = doc.get("weights")
+    if raw is None:
+        return None
+    path = "$.weights"
+    if isinstance(raw, dict):
+        vals = [Fraction(1)] * n
+        for key, val in raw.items():
+            try:
+                ident = int(key)
+            except ValueError as exc:
+                raise SchemaError(f"weight key {key!r} is not a vertex id", path) from exc
+            if not 1 <= ident <= n:
+                raise SchemaError(f"weight names unknown vertex {ident}", path)
+            vals[ident - 1] = _number(val, f"{path}.{key}")
+        return tuple(vals)
+    if isinstance(raw, list):
+        if len(raw) != n:
+            raise SchemaError(f"expected {n} weights, got {len(raw)}", path)
+        return tuple(_number(v, f"{path}[{k}]") for k, v in enumerate(raw))
+    raise SchemaError("weights must be a list or an id-keyed object", path)
+
+
+def rational_pair_reference(item, what: str, k: int) -> tuple[Fraction, Fraction]:
+    try:
+        x, y = item
+        return Fraction(x), Fraction(y)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedModel(f"{what} {k} is not a pair of rationals: {item!r}") from exc
+
+
+def rationals_reference(seq, ids, error: type) -> list[Fraction]:
+    vals: list[Fraction] = []
+    try:
+        for x in seq:
+            w = Fraction(x)
+            if w < 0:
+                raise error(f"negative weight {w} at vertex {ids[len(vals)]}")
+            vals.append(w)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise error(f"weight {x!r} at vertex {ids[len(vals)]} is not a rational") from exc
+    return vals
+
+
+def interval_model_build_reference(intervals, strict: bool = False) -> IntervalModel:
+    pairs = []
+    for r, pair in enumerate(intervals, start=1):
+        a, b = rational_pair_reference(pair, "interval", r)
+        if a >= b:
+            raise MalformedModel(
+                f"interval {r}: [{a}, {b}] has no interior; points are rejected")
+        pairs.append((a, b))
+    model = IntervalModel(tuple(pairs), strict)
+    spans = model.spans
+    if strict:
+        if max((b for _, b in spans), default=0) != 2 * model.n:
+            raise NotStrict("strict models need pairwise distinct endpoints")
+        if any(x[1] >= y[1] for x, y in zip(spans, spans[1:])):
+            raise NotStrict("strict models are indexed by increasing right endpoint")
+    return model
+
+
+def arc_model_build_reference(arcs) -> ArcModel:
+    pairs = []
+    for k, arc in enumerate(arcs, start=1):
+        h, t = rational_pair_reference(arc, "arc", k)
+        if h == t:
+            raise SharedEndpoint(f"arc {k} has coinciding endpoints")
+        pairs.append((h, t))
+    seen: dict[Fraction, int] = {}
+    for k, (h, t) in enumerate(pairs, start=1):
+        for x in (h, t):
+            if x in seen:
+                raise SharedEndpoint(f"arcs {seen[x]} and {k} share the endpoint {x}")
+            seen[x] = k
+    model = ArcModel(tuple(pairs))
+    model.spans
+    return model

@@ -16,6 +16,7 @@ from isect.geom import (
     INFINITE_TOLERANCE,
     ChordModel,
     DiskPoints,
+    DottedInterval,
     KBoxModel,
     ToleranceRep,
     build_box_graph,
@@ -24,6 +25,7 @@ from isect.geom import (
     build_tolerance_graph,
     build_unit_disk_graph,
     chords_cross,
+    _integers,
     dotted_intersect,
     line_graph,
 )
@@ -261,3 +263,54 @@ def test_graph_generator_matches_the_coin_loop(n, seed):
     weights = tuple(Fraction(rng.randint(1, 50)) for _ in range(n))
     mf = generate_model(GeneratorSpec("graph", n, seed, {"weights": True}))
     assert mf.model == want and mf.weights == weights
+
+
+@st.composite
+def progressions(draw):
+    # starts and jumps below or past 2**30, so both integer forms are drawn
+    top = draw(st.sampled_from([40, 2 ** 29, 2 ** 30 + 5, 2 ** 70]))
+    jump = draw(st.sampled_from([1, 6, 50, top]))
+    out = []
+    for _ in range(draw(st.integers(0, 40))):
+        s, d = draw(st.integers(1, top)), draw(st.integers(1, jump))
+        out.append(DottedInterval.build(s, s + d * draw(st.integers(0, 30)), d))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(progressions())
+def test_ddig_matches_the_pair_loop_property(items):
+    assert_matches("dotted", items)
+    assert build_ddig(items)[1] == max((it.d for it in items), default=0)
+
+
+def test_ddig_with_many_distinct_jumps_matches_the_pair_loop():
+    # coprime and shared-factor jumps up to 300: Euclid runs many rounds
+    rng = SplitMix64(11)
+    items = []
+    for d in range(1, 301):
+        s = 1 + rng.below(3000)
+        items.append(DottedInterval.build(s, s + d * rng.below(40), d))
+    assert_matches("dotted", items)
+
+
+def test_scaled_integers_are_int64_only_below_two_to_the_thirty():
+    assert _integers([Fraction(2 ** 30 - 1), Fraction(-(2 ** 30 - 1))]).dtype == np.int64
+    assert _integers([Fraction(2 ** 30), Fraction(1)]).dtype == object
+    assert _integers([Fraction(-(2 ** 30)), Fraction(1)]).dtype == object
+    # scaled by the common denominator 3: 3 * (2**30 - 1) / 3 and 1/3 -> 1
+    assert _integers([Fraction(2 ** 30 - 1, 3), Fraction(1, 3)]).dtype == np.int64
+    assert _integers([Fraction(2 ** 30 + 1, 3), Fraction(1, 3)]).dtype == object
+    assert _integers([]).dtype == np.int64
+
+
+@pytest.mark.parametrize("edge", [2 ** 30 - 1, 2 ** 30])
+def test_disks_and_tolerances_at_the_int64_bound_match_pair_loops(edge):
+    # differences and squared distances at the largest int64 scale
+    points = [(edge, edge), (-edge, -edge), (edge, -edge), (edge - 3, edge - 4), (0, 0)]
+    for r in (5, edge, 2 * edge):
+        assert_matches("disks", DiskPoints.build(points, r))
+    spans = [(-edge, edge), (0, edge), (-edge, 0), (edge - 1, edge), (1, 2)]
+    for tols in ([edge, edge - 5, INFINITE_TOLERANCE, 1, 3],
+                 [2 * edge, edge, INFINITE_TOLERANCE, 1, Fraction(1, 2)]):
+        assert_matches("tolerance", ToleranceRep.build(spans, tols))

@@ -33,6 +33,8 @@ from helpers import (
     mwis_permutation_reference,
     next_to_shortest_reference,
     path_graph,
+    rational_pair_reference,
+    rationals_reference,
     reach_reference,
     star_graph,
 )
@@ -49,6 +51,8 @@ from isect.errors import (
 from isect.graph import (
     MAX_DENOMINATOR_BITS,
     Graph,
+    _rationals,
+    rational_pair,
     balls,
     bfs_apsp,
     bfs_distances,
@@ -621,3 +625,44 @@ def test_bit_row_readers_match_the_references(case):
         assert _outcome(are_isomorphic_bruteforce, g, h) == _outcome(
             are_isomorphic_bruteforce_reference, g, h)
     assert _outcome(_solution, g, u, v) == _outcome(next_to_shortest_reference, g, u, v)
+
+
+# -- the edge-row sort and the rational coercions -------------------------------
+
+@pytest.mark.parametrize("n", [7, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** 62])
+def test_edge_rows_sort_as_the_two_key_sort_does(n):
+    # unsorted rows with repeats, some reversed; no adjacency is built
+    rng = np.random.default_rng(n % 1000)
+    for m in (0, 1, 2, 5, 40):
+        ends = np.sort(rng.choice(np.array([1, 2, 3, n // 2, n - 1, n], dtype=np.int64),
+                                  size=(m, 2)), axis=1)
+        ends = ends[ends[:, 0] < ends[:, 1]]
+        rows = np.concatenate([ends, ends[::2]])[rng.permutation(len(ends) + len(ends[::2]))]
+        rows[::3] = rows[::3, ::-1]
+        lo, hi = np.minimum(*rows.T), np.maximum(*rows.T)
+        key = np.stack([lo, hi], axis=1)[np.lexsort((hi, lo))]
+        want = key[np.r_[True, np.any(key[1:] != key[:-1], axis=1)]] if len(key) else key
+        got = Graph.build(n, rows).edge_array
+        assert got.dtype == np.int64 and np.array_equal(got, want.reshape(-1, 2))
+
+
+weight_values = st.one_of(st.integers(-2, 5), st.fractions(min_value=-2, max_value=5),
+                          st.sampled_from(["1/2", "-3/4", "x", "1/0", None, 0.5,
+                                           float("inf"), True]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(weight_values, max_size=6), st.tuples(weight_values, weight_values))
+def test_rational_coercions_match_the_parents(seq, pair):
+    def outcome(f, *args):
+        try:
+            got = f(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return got, [type(x) for x in got]
+
+    ids = range(1, len(seq) + 1)
+    assert outcome(_rationals, seq, ids, BadParams) == outcome(
+        rationals_reference, seq, ids, BadParams)
+    assert outcome(rational_pair, pair, "interval", 3) == outcome(
+        rational_pair_reference, pair, "interval", 3)

@@ -1,3 +1,4 @@
+import math
 import time
 from bisect import bisect_left
 from fractions import Fraction
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import arc_model_build_reference, interval_model_build_reference
 from isect import intervals
+from isect.arcs import ArcModel
 from isect.errors import (
     BadParams,
     DisconnectedGraph,
@@ -467,3 +470,54 @@ def test_clique_matrices_have_consecutive_ones():
         cliques = maximal_cliques_interval(strict)[:8]
         matrix = [[1 if v in c else 0 for v in range(1, n + 1)] for c in cliques]
         assert has_consecutive_ones(matrix) is not None
+
+
+# -- the rank-checked constructors against the parent's ------------------------
+
+def _built(build, *args):
+    try:
+        m = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    pairs = m.intervals if isinstance(m, IntervalModel) else m.arcs
+    return m, m.spans, [tuple(map(type, p)) for p in pairs]
+
+
+values = st.one_of(st.integers(-3, 8), st.integers(-3, 8),
+                   st.fractions(min_value=-3, max_value=8, max_denominator=4),
+                   st.sampled_from(["1/2", "3", "x", "1/0", None, 0.5, True, math.inf]))
+raw_items = st.lists(st.one_of(st.tuples(values, values), st.tuples(values, values),
+                               st.sampled_from([None, (1, 2, 3), "12", 7, ()])),
+                     max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_items, st.booleans())
+def test_constructors_match_the_parents_checks(items, strict):
+    assert (_built(IntervalModel.build, items, strict)
+            == _built(interval_model_build_reference, items, strict))
+    assert _built(ArcModel.build, items) == _built(arc_model_build_reference, items)
+
+
+def test_first_fault_in_item_order_is_reported():
+    # a point before an item that is no pair: the point is named
+    with pytest.raises(MalformedModel, match="interval 1: .* no interior"):
+        IntervalModel.build([(2, 1), ("x", "y")])
+    with pytest.raises(MalformedModel, match="interval 2 is not a pair"):
+        IntervalModel.build([(1, 2), ("x", "y"), (3, 3)])
+    with pytest.raises(MalformedModel, match="interval 2: .* no interior"):
+        IntervalModel.build([(1, 2), (Fraction(5, 2), "5/2"), (3, 3)])
+    # a coinciding arc is named before a shared endpoint, wherever it falls
+    with pytest.raises(MalformedModel, match="arc 3 has coinciding endpoints"):
+        ArcModel.build([(1, 2), (2, 5), (7, 7)])
+    with pytest.raises(MalformedModel, match="arcs 1 and 2 share the endpoint 2"):
+        ArcModel.build([(1, 2), (2, 5), (7, 8)])
+    with pytest.raises(MalformedModel, match="arc 1 has coinciding endpoints"):
+        ArcModel.build([(4, 4), None])
+    # an endpoint Fraction cannot take at all still comes after an earlier fault
+    with pytest.raises(MalformedModel, match="interval 1: .* no interior"):
+        IntervalModel.build([(2, 1), (0, math.inf)])
+    with pytest.raises(MalformedModel, match="arc 1 has coinciding endpoints"):
+        ArcModel.build([(4, 4), (0, math.inf)])
+    with pytest.raises(OverflowError):
+        IntervalModel.build([(1, 2), (0, math.inf)])

@@ -1,9 +1,24 @@
 """Model document parsing, validation diagnostics, canonical emission."""
 
+import dataclasses
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import (
+    arc_model_build_reference,
+    by_id_reference,
+    interval_model_build_reference,
+    numbers_reference,
+    rational_pair_reference,
+    weights_reference,
+)
+from isect import geom, modelfile
+from isect.arcs import ArcModel
 from isect.errors import SchemaError, ValidationError
 from isect.generators import GeneratorSpec, generate_model
 from isect.geom import INFINITE_TOLERANCE, DottedInterval
@@ -182,3 +197,135 @@ def test_emitted_weights_survive():
                    (Fraction(1, 3), Fraction(2)))
     back = parse_model_file(emit_model_file(mf))
     assert back.weights == (Fraction(1, 3), Fraction(2))
+
+
+# -- the reader against the parent's, on drawn documents ----------------------
+
+def _types(x):
+    # the type of every value inside x, so Fraction(3) and 3 differ
+    if isinstance(x, np.ndarray):
+        return ("array", x.dtype.str)
+    if dataclasses.is_dataclass(x):
+        return type(x), tuple(_types(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_types, x))
+    if isinstance(x, dict):
+        return tuple((_types(k), _types(v)) for k, v in x.items())
+    return type(x)
+
+
+def _outcome(text):
+    try:
+        mf = parse_model_file(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "path", None)
+    return mf, _types(mf)
+
+
+def _reference_outcome(text):
+    """_outcome with the parent's reader and constructors in place."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modelfile, "_by_id", lambda items, names, row=None, exact=None:
+                   by_id_reference(items, row or numbers_reference(*names)))
+        mp.setattr(modelfile, "_numbers", numbers_reference)
+        mp.setattr(modelfile, "_weights", weights_reference)
+        mp.setattr(geom, "rational_pair", rational_pair_reference)
+        mp.setattr(IntervalModel, "build", staticmethod(interval_model_build_reference))
+        mp.setattr(ArcModel, "build", staticmethod(arc_model_build_reference))
+        return _outcome(text)
+
+
+ODD = [True, False, None, 0.5, 3.0, "1e3", "2E1", "x", "1/0", "", [1, 2], {}]
+
+
+@st.composite
+def documents(draw):
+    """A generated model document, then up to two faults or re-spellings:
+    odd values, bool, repeated or missing ids, missing fields, non-dict
+    items, endpoints shared within or across items, rational strings."""
+    kind = draw(st.sampled_from(KINDS))
+    params = {"weights": True} if draw(st.booleans()) else {}
+    mf = generate_model(GeneratorSpec(kind, draw(st.integers(1, 7)),
+                                      draw(st.integers(1, 60)), params))
+    doc = json.loads(emit_model_file(mf))
+    items = doc["items"]
+    for _ in range(draw(st.integers(0, 2))):
+        what = draw(st.sampled_from(["tie", "tie", "tie", "spell", "spell", "value",
+                                     "id", "drop", "item", "weight"]))
+        k = draw(st.integers(0, len(items) - 1))
+        rec = items[k]
+        if what == "item":
+            items[k] = draw(st.sampled_from([5, "x", [1, 2], None, 1.5]))
+            continue
+        if what == "weight":
+            w = doc.setdefault("weights", [1] * len(items))
+            if w and draw(st.booleans()):
+                w[draw(st.integers(0, len(w) - 1))] = draw(st.sampled_from(
+                    ODD + ["3/4", "2", "0.5", -1]))
+            else:
+                w.append(1)
+            continue
+        if not isinstance(rec, dict) or not rec:
+            continue
+        field = draw(st.sampled_from(sorted(rec)))
+        if what == "value":
+            rec[field] = draw(st.sampled_from(ODD))
+        elif what == "id":
+            rec["id"] = draw(st.sampled_from([True, 1, len(items), len(items) + 1, 0,
+                                              "1", -2]))
+        elif what == "drop":
+            del rec[field]
+        elif what == "tie":
+            other = items[draw(st.integers(0, len(items) - 1))]
+            if isinstance(other, dict) and set(other) - {"id"}:
+                rec[field] = other[draw(st.sampled_from(sorted(set(other) - {"id"})))]
+        elif type(rec[field]) is int:
+            v = rec[field]
+            rec[field] = draw(st.sampled_from([str(v), f"{2 * v}/2", f"{v}.0", f"{v}/3"]))
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents())
+def test_reader_matches_the_parents_reader(text):
+    got, want = _outcome(text), _reference_outcome(text)
+    assert got == want
+    if isinstance(got[0], ModelFile) and got[0].kind in ("interval", "arcs", "disks"):
+        # every coordinate of a rational kind is a Fraction
+        coords = {"interval": "intervals", "arcs": "arcs", "disks": "points"}
+        for pair in getattr(got[0].model, coords[got[0].kind]):
+            assert set(map(type, pair)) == {Fraction}
+
+
+def test_reader_light_and_field_paths_agree():
+    # the same model as ints and as strings, and faults the light path hands on
+    doc = '{"kind": "interval", "items": [{"id": 2, "a": %s, "b": %s}, {"id": 1, "a": 0, "b": 2}]}'
+    light, spelled = parse_model_file(doc % (1, 3)), parse_model_file(doc % ('"1"', '"6/2"'))
+    assert light == spelled and light.model.intervals[1] == (Fraction(1), Fraction(3))
+    cases = [
+        ('{"kind": "interval", "items": [{"id": 1, "a": 0, "b": 2},'
+         ' {"id": 1, "a": 1, "b": 3}]}', "$.items[1]", "duplicate id 1"),
+        ('{"kind": "interval", "items": [{"id": true, "a": 0, "b": 2}]}',
+         "$.items[0].id", "expected an integer"),
+        ('{"kind": "dotted", "items": [{"id": 1, "s": "1/2", "t": 3, "d": 1},'
+         ' {"id": 3, "s": 1, "t": 3, "d": 1}]}', "$.items", "ids must cover"),
+        ('{"kind": "dotted", "items": [{"id": 1, "s": "3/2", "t": 3, "d": 1}]}',
+         "$.items", "expected an integer, got 3/2"),
+        ('{"kind": "interval", "items": [{"id": 1, "a": 0, "b": 2}],'
+         ' "weights": [1, true]}', "$.weights", "expected 1 weights"),
+        ('{"kind": "interval", "items": [{"id": 1, "a": 0, "b": 2}],'
+         ' "weights": [true]}', "$.weights[0]", "rational string"),
+    ]
+    for text, path, message in cases:
+        with pytest.raises(SchemaError, match=message) as info:
+            parse_model_file(text)
+        assert info.value.path == path, text
+    # a dotted row is checked whole just before it is built, so an earlier
+    # row's fault comes first; trapezoid rows are all checked before the build
+    dotted = ('{"kind": "dotted", "items": [{"id": 1, "s": 3, "t": 1, "d": 1},'
+              ' {"id": 2, "s": "1/2", "t": 3, "d": 1}]}')
+    trapezoid = ('{"kind": "trapezoid", "items": [{"id": 1, "a": 3, "b": 1, "c": 1, "d": 2},'
+                 ' {"id": 2, "a": "1/2", "b": 3, "c": 1, "d": 2}]}')
+    for text, fault in ((dotted, ValidationError), (trapezoid, SchemaError)):
+        assert _outcome(text)[0] is fault
+        assert _outcome(text) == _reference_outcome(text)
