@@ -29,7 +29,8 @@ from .errors import (
     MalformedModel,
     SharedEndpoint,
 )
-from .graph import Graph, WeightsArg, coerce_weights, lex_weights, pairs_graph, rational_pair
+from .graph import (Graph, WeightsArg, coerce_weights, lex_weights, pairs_graph,
+                    rational, rational_pair)
 from .intervals import IntervalModel, mwis_interval, rank_pairs
 
 ArcPair = tuple[Fraction, Fraction]
@@ -134,21 +135,17 @@ def _meet(a: tuple, b: tuple) -> bool:
     return _inside(a, b[0]) or _inside(a, b[1]) or _inside(b, a[0]) or _inside(b, a[1])
 
 
-def _rational(arc: tuple[object, object]) -> ArcPair:
-    return Fraction(arc[0]), Fraction(arc[1])
-
-
 def arc_contains_point(arc: tuple[object, object], p: object) -> bool:
     """True when the point p lies strictly inside the arc.
 
     pre: p differs from both endpoints of the arc.
     """
-    return _inside(_rational(arc), Fraction(p))
+    return _inside(rational_pair(arc, "arc", 1), rational(p, "point"))
 
 
 def arcs_intersect(a: tuple[object, object], b: tuple[object, object]) -> bool:
     """True when two arcs with all-distinct endpoints share a point."""
-    return _meet(_rational(a), _rational(b))
+    return _meet(rational_pair(a, "arc", 1), rational_pair(b, "arc", 2))
 
 
 def build_circular_arc_graph(m: ArcModel) -> Graph:
@@ -366,21 +363,18 @@ def apsp_circular_arc(m: ArcModel) -> list[list[int]]:
 
 
 def is_proper(m: ArcModel) -> bool:
-    """True when no arc's span properly contains another arc's span."""
-    n = m.n
-    if n <= 1:
+    """True when no arc's span properly contains another arc's span.
+
+    That holds exactly when the tails come in the cyclic order of the
+    heads: sorted by head h, the tails unrolled past their heads,
+    e = h + (t - h) mod 2n, strictly increase, and the last stays below
+    e_first + 2n, the first arc's tail one turn on.
+    """
+    if m.n <= 1:
         return True
-    two_n = 2 * n
-    for ho, to in m.spans:
-        end = (to - ho) % two_n
-        for hi, ti in m.spans:
-            if (hi, ti) == (ho, to):
-                continue
-            oh = (hi - ho) % two_n
-            ot = (ti - ho) % two_n
-            if oh <= end and ot <= end and oh <= ot:
-                return False
-    return True
+    h, t = np.array(m.spans, dtype=np.int64).T
+    e = (h + (t - h) % (2 * m.n))[np.argsort(h)]
+    return bool((e[1:] > e[:-1]).all() and e[-1] < e[0] + 2 * m.n)
 
 
 @dataclass(frozen=True)

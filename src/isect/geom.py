@@ -27,19 +27,10 @@ from .errors import (
     SharedEndpoint,
     SizeBudgetExceeded,
 )
-from .graph import Graph, common_denominator, pairs_graph, rational_pair
+from .graph import Graph, common_denominator, pairs_graph, rational, rational_pair
 from .intervals import rank_pairs
 
 INFINITE_TOLERANCE = math.inf
-
-
-def _frac(x: object, what: str) -> Fraction:
-    if type(x) is Fraction:
-        return x
-    try:
-        return Fraction(x)  # type: ignore[arg-type]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise MalformedModel(f"{what} is not rational: {x!r}") from exc
 
 
 # scaled values below this in absolute value are int64: a sum of two
@@ -173,7 +164,7 @@ class ToleranceRep:
                 raise MalformedModel(f"expected {n} tolerances, got {len(raw)}")
         tols: list[object] = []
         for k, t in enumerate(raw, start=1):
-            val = t if t == INFINITE_TOLERANCE else _frac(t, f"tolerance {k}")
+            val = t if t == INFINITE_TOLERANCE else rational(t, f"tolerance {k}")
             if val <= 0:
                 raise MalformedModel(f"tolerance {k} must be positive, got {t!r}")
             tols.append(val)
@@ -211,15 +202,21 @@ def build_tolerance_graph(rep: ToleranceRep) -> Graph:
 
 
 def classify_tolerance_rep(rep: ToleranceRep) -> dict[str, bool]:
+    """The two flags of a tolerance model.
+
+    Bounded: each tolerance is at most its interval's length.  Regular:
+    each tolerance past its length is infinite, the tolerances are
+    distinct, and no two intervals share an endpoint, checked by one set:
+    the intervals' endpoint sets, joined, repeat no value.
+    """
     bounded = all(rep.tolerances[v - 1] <= rep.length(v)
                   for v in range(1, rep.n + 1))
     capped = all(rep.tolerances[v - 1] == INFINITE_TOLERANCE
                  for v in range(1, rep.n + 1)
                  if rep.tolerances[v - 1] > rep.length(v))
     distinct = len(set(rep.tolerances)) == rep.n
-    ends = [set(rep.intervals[v - 1]) for v in range(1, rep.n + 1)]
-    separated = all(not (ends[i] & ends[j])
-                    for i in range(rep.n) for j in range(i + 1, rep.n))
+    ends = [x for iv in rep.intervals for x in set(iv)]
+    separated = len(set(ends)) == len(ends)
     return {"bounded": bounded, "regular": capped and distinct and separated}
 
 
@@ -284,7 +281,7 @@ class DiskPoints:
         pts = []
         for k, p in enumerate(points, start=1):
             pts.append(rational_pair(p, "point", k))
-        radius = _frac(r, "radius")
+        radius = rational(r, "radius")
         if radius <= 0:
             raise BadParams(f"radius must be positive, got {r!r}")
         return DiskPoints(tuple(pts), radius)

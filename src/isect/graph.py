@@ -121,6 +121,16 @@ def lex_trim(chosen: Sequence[int], w: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(chosen[:k])
 
 
+def rational(x: object, what: str) -> Fraction:
+    """x as a rational, named by ``what`` if it is none; a Fraction is kept."""
+    if type(x) is Fraction:
+        return x
+    try:
+        return Fraction(x)  # type: ignore[arg-type]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedModel(f"{what} is not rational: {x!r}") from exc
+
+
 def rational_pair(item: object, what: str, k: int) -> tuple[Fraction, Fraction]:
     """Item k of a model, two values such as an interval's ends, as rationals;
     a value that is a Fraction already is kept as it is."""

@@ -140,20 +140,19 @@ def normalize(m: IntervalModel) -> tuple[IntervalModel, tuple[int, ...]]:
     Coordinate ties are broken left-endpoint-first, which keeps touching
     intervals adjacent.  Because re-indexing permutes the vertices, the
     second return value gives, for each new vertex, the original index it
-    represents.  The relabeled graph is checked against the input's.
+    represents.  The check is one build: every edge of the strict graph,
+    mapped back, meets in the input, and the edges number C(n, 2) less
+    the pairs (i, j) with b_i < a_j, which are the input's non-edges.
     """
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    for pos, (_, side, r) in enumerate(_events(m), start=1):
-        if side == 0:
-            lo[r] = pos
-        else:
-            hi[r] = pos
-    order = sorted(range(1, m.n + 1), key=lambda r: hi[r])
-    strict = IntervalModel.build([(lo[r], hi[r]) for r in order], strict=True)
-    back = np.array([0] + order, dtype=np.int64)  # new id -> old id
-    relabeled = Graph.build(m.n, back[build_interval_graph(strict).edge_array])
-    if relabeled != build_interval_graph(m):
+    pos = {(r, side): k for k, (_, side, r) in enumerate(_events(m), start=1)}
+    order = sorted(range(1, m.n + 1), key=lambda r: pos[r, 1])
+    strict = IntervalModel.build([(pos[r, 0], pos[r, 1]) for r in order], strict=True)
+    back = np.array(order, dtype=np.int64) - 1  # new index -> old index, from 0
+    i, j = back[build_interval_graph(strict).edge_array - 1].T
+    a, b = np.array(m.spans, dtype=np.int64).reshape(-1, 2).T
+    apart = np.searchsorted(np.sort(b), a, side="left").sum()
+    edges_meet = ((a[i] <= b[j]) & (a[j] <= b[i])).all()
+    if not edges_meet or len(i) != m.n * (m.n - 1) // 2 - apart:
         raise MalformedModel("normalization changed the intersection graph")
     return strict, tuple(order)
 
@@ -275,22 +274,21 @@ def distance_query(t: IntervalTree, g: Graph, u: int, v: int) -> int:
 
 
 def apsp_interval(m: IntervalModel) -> list[list[int]]:
-    """All-pairs distances of a connected strict model in quadratic work.
+    """All-pairs distances of a connected strict model in O(n²) work.
 
-    For u < v the distance is 1 + k where k counts the parent-chain hops
-    from u needed before the chain's right endpoint reaches a_v; each row
-    is therefore a single sorted search of the chain's right endpoints.
+    For u < v, d(u, v) = 1 when a_v <= b_u, and otherwise
+    d(u, v) = 1 + d(H(u), v): a shortest path may leave u through H(u).
+    Rows are filled from u = n - 1 down, each with its mirror column, so
+    d(H(u), v) is ready: in row H(u) when H(u) < v, and when H(u) > v in
+    row v, since then H(u) meets v by the umbrella property.
     """
     high = _parents(m, "the distance recurrence")
     n = m.n
-    a = np.array([p[0] for p in m.spans], dtype=np.int64)
-    b = [p[1] for p in m.spans]
+    a, b = np.array(m.spans, dtype=np.int64).T
     out = np.zeros((n, n), dtype=np.int64)
-    for u in range(1, n):
-        chain = [b[x - 1] for x in _chain_up(high, u)]
-        ks = np.searchsorted(np.array(chain, dtype=np.int64), a[u:], side="left")
-        out[u - 1, u:] = ks + 1
-    out = out + out.T
+    for u in range(n - 1, 0, -1):  # row u - 1 holds d(u, v) for v > u at v - 1
+        out[u - 1, u:] = out[u:, u - 1] = np.where(
+            a[u:] <= b[u - 1], 1, out[high[u] - 1, u:] + 1)
     return out.tolist()
 
 

@@ -17,6 +17,7 @@ from isect.errors import (
     DisconnectedGraph,
     InfeasibleProblem,
     InstanceTooLarge,
+    IsectError,
     MalformedModel,
     NodeBudgetExceeded,
     NotChordal,
@@ -26,7 +27,7 @@ from isect.errors import (
     SharedEndpoint,
     UndefinedForDisconnected,
 )
-from isect.geom import DiskPoints, KBoxModel, ToleranceRep
+from isect.geom import INFINITE_TOLERANCE, DiskPoints, KBoxModel, ToleranceRep
 from isect.graph import (
     Graph,
     Metrics,
@@ -36,7 +37,14 @@ from isect.graph import (
     bfs_apsp,
     coerce_weights,
 )
-from isect.intervals import IntervalModel, overlaps
+from isect.intervals import (
+    IntervalModel,
+    _chain_up,
+    _events,
+    _parents,
+    build_interval_graph,
+    overlaps,
+)
 from isect.modelfile import _field, _integer, _number, _record
 from isect.oracles import (
     DEFAULT_ORACLE_BOUND,
@@ -1169,3 +1177,79 @@ def arc_model_build_reference(arcs) -> ArcModel:
     model = ArcModel(tuple(pairs))
     model.spans
     return model
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the library error it raises."""
+    try:
+        return fn(*args)
+    except IsectError as exc:
+        return type(exc), str(exc)
+
+
+# Four structure routines as they were before each became one recurrence,
+# sort or count: interval APSP by a sorted search of every row's parent
+# chain, normalize checked by a second graph build and a compare, the
+# proper-arc test by a scan of every pair, and tolerance separation by
+# intersecting every pair of endpoint sets.  test_intervals.py, test_arcs.py
+# and test_geom.py compare each rewritten routine with its reference.
+
+def apsp_interval_reference(m: IntervalModel) -> list[list[int]]:
+    high = _parents(m, "the distance recurrence")
+    n = m.n
+    a = np.array([p[0] for p in m.spans], dtype=np.int64)
+    b = [p[1] for p in m.spans]
+    out = np.zeros((n, n), dtype=np.int64)
+    for u in range(1, n):
+        chain = [b[x - 1] for x in _chain_up(high, u)]
+        ks = np.searchsorted(np.array(chain, dtype=np.int64), a[u:], side="left")
+        out[u - 1, u:] = ks + 1
+    out = out + out.T
+    return out.tolist()
+
+
+def normalize_reference(m: IntervalModel) -> tuple[IntervalModel, tuple[int, ...]]:
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for pos, (_, side, r) in enumerate(_events(m), start=1):
+        if side == 0:
+            lo[r] = pos
+        else:
+            hi[r] = pos
+    order = sorted(range(1, m.n + 1), key=lambda r: hi[r])
+    strict = IntervalModel.build([(lo[r], hi[r]) for r in order], strict=True)
+    back = np.array([0] + order, dtype=np.int64)
+    relabeled = Graph.build(m.n, back[build_interval_graph(strict).edge_array])
+    if relabeled != build_interval_graph(m):
+        raise MalformedModel("normalization changed the intersection graph")
+    return strict, tuple(order)
+
+
+def is_proper_reference(m: ArcModel) -> bool:
+    n = m.n
+    if n <= 1:
+        return True
+    two_n = 2 * n
+    for ho, to in m.spans:
+        end = (to - ho) % two_n
+        for hi, ti in m.spans:
+            if (hi, ti) == (ho, to):
+                continue
+            oh = (hi - ho) % two_n
+            ot = (ti - ho) % two_n
+            if oh <= end and ot <= end and oh <= ot:
+                return False
+    return True
+
+
+def classify_tolerance_rep_reference(rep: ToleranceRep) -> dict[str, bool]:
+    bounded = all(rep.tolerances[v - 1] <= rep.length(v)
+                  for v in range(1, rep.n + 1))
+    capped = all(rep.tolerances[v - 1] == INFINITE_TOLERANCE
+                 for v in range(1, rep.n + 1)
+                 if rep.tolerances[v - 1] > rep.length(v))
+    distinct = len(set(rep.tolerances)) == rep.n
+    ends = [set(rep.intervals[v - 1]) for v in range(1, rep.n + 1)]
+    separated = all(not (ends[i] & ends[j])
+                    for i in range(rep.n) for j in range(i + 1, rep.n))
+    return {"bounded": bounded, "regular": capped and distinct and separated}

@@ -2,7 +2,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import is_proper_reference, outcome
 from isect.arcs import (
     ArcModel,
     CIParams,
@@ -91,6 +94,21 @@ def test_contains_and_intersects_fixtures():
     assert arcs_intersect((1, 4), (3, 6))
     assert not arcs_intersect((1, 4), (5, 8))
     assert arcs_intersect((1, 4), (2, 3))
+
+
+def test_arc_predicates_name_their_bad_input():
+    with pytest.raises(MalformedModel) as err:
+        arcs_intersect(("a", 1), (2, 3))
+    assert str(err.value) == "arc 1 is not a pair of rationals: ('a', 1)"
+    with pytest.raises(MalformedModel) as err:
+        arcs_intersect((1,), (2, 3))
+    assert str(err.value) == "arc 1 is not a pair of rationals: (1,)"
+    with pytest.raises(MalformedModel) as err:
+        arc_contains_point((1, 3), None)
+    assert str(err.value) == "point is not rational: None"
+    with pytest.raises(MalformedModel) as err:
+        arc_contains_point((1, 2, 3), 2)
+    assert str(err.value) == "arc 1 is not a pair of rationals: (1, 2, 3)"
 
 
 def test_build_graph_fixtures():
@@ -456,6 +474,30 @@ def test_is_proper_fixtures():
     assert is_proper(ArcModel.build([(1, 2)]))
     # a wrapping arc swallowing a short one
     assert not is_proper(ArcModel.build([(7, 4), (1, 3), (5, 6)]))
+
+
+@st.composite
+def arc_models(draw):
+    """Arcs on 2n distinct rationals; an arc wraps when its head is the larger."""
+    n = draw(st.integers(0, 8))
+    pts = [Fraction(k, 3) for k in draw(st.permutations(range(2 * n)))]
+    return ArcModel.build(list(zip(pts[::2], pts[1::2])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arc_models())
+@example(ArcModel.build([]))
+@example(ArcModel.build([(7, 4), (1, 3), (5, 6)]))
+def test_is_proper_matches_the_reference(m):
+    assert outcome(is_proper, m) == outcome(is_proper_reference, m)
+
+
+def test_is_proper_matches_the_reference_on_ci_models():
+    for n in range(2, 10):
+        for k in range(1, n):
+            for eps in (Fraction(1, 3), Fraction(1, 4), Fraction(1, 7)):
+                m = generate_ci(CIParams.build(n, k, eps))
+                assert is_proper(m) is is_proper_reference(m) is True
 
 
 def test_ci_params_rejects():

@@ -4,7 +4,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import classify_tolerance_rep_reference, outcome
 from isect.errors import (
     BadParams,
     DimensionMismatch,
@@ -149,6 +152,21 @@ def test_classify_tolerance_fixtures():
     assert classify_tolerance_rep(tweaked) == {"bounded": True, "regular": True}
     shared = ToleranceRep.build([(0, 3), (3, 8)], [1, 2])
     assert classify_tolerance_rep(shared)["regular"] is False
+
+
+@st.composite
+def tolerance_reps(draw):
+    """Point intervals, shared endpoints, repeated and infinite tolerances."""
+    ends = st.sampled_from([Fraction(k, 2) for k in range(9)])
+    ivs = draw(st.lists(st.tuples(ends, ends).map(sorted), max_size=8))
+    tol = st.sampled_from([INFINITE_TOLERANCE, Fraction(1, 2), 1, 2, 3])
+    return ToleranceRep.build(ivs, draw(st.lists(tol, min_size=len(ivs), max_size=len(ivs))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tolerance_reps())
+def test_classify_tolerance_matches_the_reference(rep):
+    assert outcome(classify_tolerance_rep, rep) == outcome(classify_tolerance_rep_reference, rep)
 
 
 def test_constant_tolerance_graphs_are_interval():

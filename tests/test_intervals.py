@@ -3,11 +3,18 @@ import time
 from bisect import bisect_left
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import arc_model_build_reference, interval_model_build_reference
+from helpers import (
+    apsp_interval_reference,
+    arc_model_build_reference,
+    interval_model_build_reference,
+    normalize_reference,
+    outcome,
+)
 from isect import intervals
 from isect.arcs import ArcModel
 from isect.errors import (
@@ -141,6 +148,22 @@ def test_normalize_rejects_a_strict_build_that_loses_an_edge(monkeypatch):
     assert str(err.value) == "normalization changed the intersection graph"
 
 
+def test_normalize_rejects_a_strict_build_that_swaps_an_edge(monkeypatch):
+    # the edge count still matches, so only the per-edge test can catch it
+    def swapped(m):
+        g = build_interval_graph(m)
+        if not m.strict:
+            return g
+        apart = next((u, v) for u in range(1, m.n + 1) for v in range(u + 1, m.n + 1)
+                     if not g.has_edge(u, v))
+        return Graph.build(g.n, np.vstack([g.edge_array[1:], [apart]]))
+
+    monkeypatch.setattr(intervals, "build_interval_graph", swapped)
+    with pytest.raises(MalformedModel) as err:
+        normalize(IntervalModel.build(STAGGERED))
+    assert str(err.value) == "normalization changed the intersection graph"
+
+
 rational = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 interval_pairs = (
     st.tuples(rational, rational)
@@ -160,6 +183,21 @@ def test_normalize_preserves_graph_property(pairs):
     new = build_interval_graph(strict)
     mapped = {tuple(sorted((order[u - 1], order[v - 1]))) for u, v in new.edges}
     assert mapped == old.edges
+
+
+# rational ends on a short grid make shared endpoints common
+grid = st.sampled_from([Fraction(k, 3) for k in range(13)])
+tied_pairs = st.tuples(grid, grid).filter(lambda t: t[0] != t[1]).map(
+    lambda t: (min(t), max(t)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(tied_pairs, max_size=12))
+@example([])
+@example([(0, 1)])
+def test_normalize_matches_the_reference(pairs):
+    m = IntervalModel.build(pairs)
+    assert outcome(normalize, m) == outcome(normalize_reference, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,6 +322,32 @@ def test_apsp_rejects_bad_input():
 def test_apsp_matches_bfs():
     for m in connected_strict_models(seed=37, count=15, lo=1, hi=60):
         assert apsp_interval(m) == bfs_apsp(build_interval_graph(m))
+
+
+@st.composite
+def connected_pairs(draw):
+    """Integer intervals, each meeting the union of those before it."""
+    lo, hi = 0, draw(st.integers(1, 6))
+    pairs = [(lo, hi)]
+    for _ in range(draw(st.integers(0, 38))):
+        a = draw(st.integers(lo - 4, hi))
+        b = max(a, lo) + draw(st.integers(1, 6))
+        pairs.append((a, b))
+        lo, hi = min(lo, a), max(hi, b)
+    return pairs
+
+
+STAIRCASE = [(5 * i, 5 * i + 6 + (i % 3)) for i in range(1, 101)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_pairs())
+@example([(0, 1)])
+@example([(0, 2), (1, 3)])
+@example(STAIRCASE)
+def test_apsp_matches_the_reference(pairs):
+    strict, _ = normalize(IntervalModel.build(pairs))
+    assert outcome(apsp_interval, strict) == outcome(apsp_interval_reference, strict)
 
 
 # -- diameter and center -----------------------------------------------------
