@@ -315,27 +315,29 @@ def mwis_circular_arc(m: ArcModel, weights: WeightsArg = None) -> tuple[int, ...
 
 
 def _hops(spans: Sequence[Span]) -> np.ndarray:
-    # entry (s, v): 0 on the diagonal, 1 when v meets s, else 1 + the first
-    # hop at which the clockwise end of the reach around s reaches the head
-    # of v, or n + 1 when that end stops short of it
+    # entry (s, v): 0 on the diagonal, 1 when v meets s, else 1 + the number
+    # of clockwise ends of the reach around s laid before the head of v, or
+    # n + 1 when the reach never passes it
     n, two_n = len(spans), 2 * len(spans)
-    cw = _reach_table(spans).tolist()
-    heads, tails = np.array(spans).T
-    # the endpoints of each v measured clockwise from the head of each s
-    rel_h = (heads - heads[:, None]) % two_n
-    rel_t = (tails - heads[:, None]) % two_n
-    span_len = rel_t.diagonal()
-    gap = (rel_h > span_len[:, None]) & (rel_t > rel_h)
-    out = np.where(gap, n + 1, 1)
+    cw = _reach_table(spans)
+    heads, tails = np.array(spans, dtype=np.int32).T
+    span = (tails - heads) % two_n
+    # all sources step their chains of ends at once, each end marked at its
+    # distance clockwise from the head; at h + 2n the whole gap is swept
+    seen = np.zeros((n, two_n + 1), dtype=np.int32)
+    end, last = heads + span, heads
+    while (end != last).any():
+        seen[np.arange(n), end - heads] = 1
+        end, last = np.minimum(np.maximum(cw[end], end), heads + two_n), end
+    below = np.cumsum(seen, axis=1, out=seen)
+    rel_h = heads - heads[:, None]
+    rel_h += two_n * (rel_h < 0)  # (h_v - h_s) mod 2n
+    # no end lies on a head, so below[s, rel_h] ends come before v's head:
+    # none when v's head lies in s; v also meets s when it runs over h_s
+    count = np.take_along_axis(below, rel_h, axis=1)
+    out = np.where(rel_h + span < two_n,
+                   np.where(count < below[:, -1:], count + 1, n + 1), 1)
     np.fill_diagonal(out, 0)
-    for s, h in enumerate(heads.tolist()):
-        # unrolled from h, the clockwise ends of the reach after 0, 1, 2, ...
-        # hops; once past h + 2n it has swept the whole gap
-        chain = [h + int(span_len[s])]
-        while chain[-1] < h + two_n and cw[chain[-1]] > chain[-1]:
-            chain.append(cw[chain[-1]])
-        k = np.searchsorted(chain, h + rel_h[s, gap[s]])
-        out[s, gap[s]] = np.where(k < len(chain), k + 1, n + 1)
     return out
 
 
@@ -347,10 +349,11 @@ def apsp_circular_arc(m: ArcModel) -> list[list[int]]:
     the farthest tail among the arcs covering just past it, and its
     counter-clockwise end likewise by heads; a table over the doubled
     circle makes each hop O(1).  An arc v missing s lies in the gap past
-    s, so d(s, v) is 1 plus the first hop at which either end passes
-    the near endpoint of v, found by binary search: O(n² log n) time.
-    Raises EmptyGraph for no arcs, DisconnectedGraph when some arc is
-    never reached.
+    s, so d(s, v) is 1 plus the first hop at which either end passes the
+    near endpoint of v, the count of that end's positions before it.  All
+    chains step in lockstep, at most n + 1 steps of O(n), and one running
+    count per row reads the counts off: O(n²) time and memory.  Raises
+    EmptyGraph for no arcs, DisconnectedGraph when some arc is never reached.
     """
     if m.n == 0:
         raise EmptyGraph("no distances in an empty model")

@@ -335,9 +335,7 @@ def _cmd_check(args) -> int:
 # -- gen ---------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
+    params = {} if args.k is None else {"k": args.k}
     text = emit_model_file(generate_model(
         GeneratorSpec(args.kind, args.n, args.seed, params)))
     if args.out:

@@ -108,7 +108,9 @@ def _gen_disks(rng: SplitMix64, n: int, params) -> DiskPoints:
 
 
 def _gen_boxes(rng: SplitMix64, n: int, params) -> KBoxModel:
-    k = int(params.get("k", 2))
+    k = params.get("k", 2)
+    if type(k) is not int or not 1 <= n * k <= 2 * MAX_N:
+        raise BadParams(f"box dimension must be an int in 1..{2 * MAX_N // n}, got {k!r}")
     axes = [_endpoint_pool(rng, n) for _ in range(k)]
     boxes = [tuple(tuple(sorted((axes[c][2 * i], axes[c][2 * i + 1])))
                    for c in range(k))
@@ -128,31 +130,37 @@ def _gen_graph(rng: SplitMix64, n: int, params) -> Graph:
     return pairs_graph(n, heads)
 
 
+# each kind's generator and the parameter keys it reads besides "weights"
 _GENERATORS = {
-    "interval": _gen_interval,
-    "arcs": _gen_arcs,
-    "permutation": _gen_permutation,
-    "trapezoid": _gen_trapezoid,
-    "dotted": _gen_dotted,
-    "tolerance": _gen_tolerance,
-    "chords": _gen_chords,
-    "disks": _gen_disks,
-    "boxes": _gen_boxes,
-    "graph": _gen_graph,
+    "interval": (_gen_interval, ("strict", "connected")),
+    "arcs": (_gen_arcs, ()),
+    "permutation": (_gen_permutation, ()),
+    "trapezoid": (_gen_trapezoid, ()),
+    "dotted": (_gen_dotted, ()),
+    "tolerance": (_gen_tolerance, ()),
+    "chords": (_gen_chords, ()),
+    "disks": (_gen_disks, ("r",)),
+    "boxes": (_gen_boxes, ("k",)),
+    "graph": (_gen_graph, ()),
 }
 
 
 def generate_model(spec: GeneratorSpec) -> ModelFile:
     """Build the model a spec names.  Same spec, same model, always.
 
-    ``spec.n`` must lie in 1..MAX_N; it is checked before anything is drawn.
+    Checked before anything is drawn: ``spec.n`` in 1..MAX_N, each key of
+    ``spec.params`` one the kind reads, and for boxes n * k in 1..2 * MAX_N.
     """
     if spec.kind not in _GENERATORS:
         raise BadParams(f"unknown generator kind {spec.kind!r}")
     if not 1 <= spec.n <= MAX_N:
         raise BadParams(f"generator size must be in 1..{MAX_N}, got {spec.n}")
+    gen, keys = _GENERATORS[spec.kind]
+    extra = [key for key in spec.params if key not in ("weights", *keys)]
+    if extra:
+        raise BadParams(f"kind {spec.kind!r} takes no generator parameter {extra[0]!r}")
     rng = SplitMix64(spec.seed)
-    model = _GENERATORS[spec.kind](rng, spec.n, spec.params)
+    model = gen(rng, spec.n, spec.params)
     weights = None
     if spec.params.get("weights"):
         count = getattr(model, "n", spec.n)

@@ -127,7 +127,7 @@ def rational(x: object, what: str) -> Fraction:
         return x
     try:
         return Fraction(x)  # type: ignore[arg-type]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise MalformedModel(f"{what} is not rational: {x!r}") from exc
 
 
@@ -138,7 +138,7 @@ def rational_pair(item: object, what: str, k: int) -> tuple[Fraction, Fraction]:
         x, y = item  # type: ignore[misc]
         return (x if type(x) is Fraction else Fraction(x),
                 y if type(y) is Fraction else Fraction(y))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise MalformedModel(f"{what} {k} is not a pair of rationals: {item!r}") from exc
 
 

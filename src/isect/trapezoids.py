@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import MalformedModel
-from .graph import Graph, _set_of, pairs_graph
+from .graph import Graph, pairs_graph
 from .permutations import Permutation
 
 Item = tuple[int, int, int, int]
@@ -183,24 +183,14 @@ def diagram_adjacent(
 
 def check_cocomparability_order(g: Graph, order: Sequence[int]) -> bool:
     """Does the order jump no gaps: between the ends of any edge, every
-    vertex must touch one of the two ends."""
-    n = g.n
-    if sorted(order) != list(range(1, n + 1)):
+    vertex must touch one of the two ends.  Read on the graph relabelled
+    by order position, where the vertices between the ends p < q of an
+    edge are the bits p..q - 2 of a row."""
+    if sorted(order) != list(range(1, g.n + 1)):
         raise MalformedModel("the order must list every vertex once")
-    pos = {v: k for k, v in enumerate(order)}
-    nbr_mask = [0] * (n + 1)
-    for u in g.vertices():
-        mask = 0
-        for w in _set_of(g.adj_bits[u]):
-            mask |= 1 << pos[w]
-        nbr_mask[u] = mask
-    for u in g.vertices():
-        pu = pos[u]
-        for w in _set_of(g.adj_bits[u]):
-            pw = pos[w]
-            if pw <= pu:
-                continue
-            between = ((1 << pw) - 1) & ~((1 << (pu + 1)) - 1)
-            if between & ~(nbr_mask[u] | nbr_mask[w]):
-                return False
-    return True
+    rank = np.zeros(g.n + 1, dtype=np.int64)
+    rank[list(order)] = np.arange(1, g.n + 1)
+    h = Graph.build(g.n, rank[g.edge_array])
+    adj = h.adj_bits
+    return not any(((1 << (q - 1)) - (1 << p)) & ~(adj[p] | adj[q])
+                   for p, q in h.sorted_edges())

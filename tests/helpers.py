@@ -6,15 +6,16 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from isect.chordal import MAX_NEIGHBOURHOOD, PERFECT, STRONG, CliqueGraph, Ordering
-from isect.arcs import ArcModel
+from isect.arcs import ArcModel, Span, _reach_table
 from isect.errors import (
     BadParams,
     DisconnectedGraph,
+    EmptyGraph,
     InfeasibleProblem,
     InstanceTooLarge,
     IsectError,
@@ -1123,10 +1124,12 @@ def weights_reference(doc, n: int):
 
 
 def rational_pair_reference(item, what: str, k: int) -> tuple[Fraction, Fraction]:
+    # OverflowError (an infinite end) is caught as the live code now catches
+    # it; the parent let it through raw
     try:
         x, y = item
         return Fraction(x), Fraction(y)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise MalformedModel(f"{what} {k} is not a pair of rationals: {item!r}") from exc
 
 
@@ -1253,3 +1256,36 @@ def classify_tolerance_rep_reference(rep: ToleranceRep) -> dict[str, bool]:
     separated = all(not (ends[i] & ends[j])
                     for i in range(rep.n) for j in range(i + 1, rep.n))
     return {"bounded": bounded, "regular": capped and distinct and separated}
+
+
+# Arc APSP as it was before every source stepped its reach chain in
+# lockstep: a loop over the sources, each walking its own chain and
+# searching it once per row.  test_arcs.py compares the live code with it.
+
+def hops_reference(spans: Sequence[Span]) -> np.ndarray:
+    n, two_n = len(spans), 2 * len(spans)
+    cw = _reach_table(spans).tolist()
+    heads, tails = np.array(spans).T
+    rel_h = (heads - heads[:, None]) % two_n
+    rel_t = (tails - heads[:, None]) % two_n
+    span_len = rel_t.diagonal()
+    gap = (rel_h > span_len[:, None]) & (rel_t > rel_h)
+    out = np.where(gap, n + 1, 1)
+    np.fill_diagonal(out, 0)
+    for s, h in enumerate(heads.tolist()):
+        chain = [h + int(span_len[s])]
+        while chain[-1] < h + two_n and cw[chain[-1]] > chain[-1]:
+            chain.append(cw[chain[-1]])
+        k = np.searchsorted(chain, h + rel_h[s, gap[s]])
+        out[s, gap[s]] = np.where(k < len(chain), k + 1, n + 1)
+    return out
+
+
+def apsp_circular_arc_reference(m: ArcModel) -> list[list[int]]:
+    if m.n == 0:
+        raise EmptyGraph("no distances in an empty model")
+    mirror = [(2 * m.n + 1 - t, 2 * m.n + 1 - h) for h, t in m.spans]
+    dist = np.minimum(hops_reference(m.spans), hops_reference(mirror))
+    if (dist > m.n).any():
+        raise DisconnectedGraph("distances need a connected model")
+    return dist.tolist()

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import is_proper_reference, outcome
+from helpers import apsp_circular_arc_reference, hops_reference, is_proper_reference, outcome
 from isect.arcs import (
     ArcModel,
     CIParams,
     _ci_raw,
+    _hops,
     _inside,
     _uncovered_gap,
     apsp_circular_arc,
@@ -464,6 +465,49 @@ def test_apsp_when_one_arc_wraps_the_whole_gap():
 def test_apsp_on_raw_model():
     model = ArcModel.build([(10, 2), (1, 6), (5, 12)])
     assert apsp_circular_arc(model) == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+
+@st.composite
+def raw_arc_models(draw):
+    """1..12 arcs on the endpoints 1..2n: neighbours paired, a few endpoints
+    swapped, the circle rotated so some arcs wrap, and some arcs turned
+    round; so models run from n disjoint short arcs to long wrapping ones."""
+    n = draw(st.integers(1, 12))
+    pts = list(range(2 * n))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 2 * n - 1),
+                                        st.integers(0, 2 * n - 1)), max_size=n)):
+        pts[i], pts[j] = pts[j], pts[i]
+    r = draw(st.integers(0, 2 * n - 1))
+    pts = [(x + r) % (2 * n) + 1 for x in pts]
+    turned = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    return ArcModel.build([(pts[2 * i + (i in turned)], pts[2 * i + 1 - (i in turned)])
+                           for i in range(n)])
+
+
+@st.composite
+def ci_rings(draw):
+    """Proper rings of 2n arcs, each arc meeting k arcs on either side, so
+    the reach chains run about n / k hops."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 20))
+    eps = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 4), Fraction(1, 7)]))
+    return generate_ci(CIParams.build(n, k, eps))
+
+
+def _mirrored(m: ArcModel) -> ArcModel:
+    return ArcModel.build([(2 * m.n + 1 - t, 2 * m.n + 1 - h) for h, t in m.spans])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(raw_arc_models(), ci_rings()))
+@example(ArcModel.build([(1, 4), (3, 2), (5, 6), (7, 8)]))
+@example(ArcModel.build([(1, 2), (3, 4), (5, 6), (7, 8)]))
+@example(ArcModel.build([(1, 2)]))
+def test_apsp_matches_the_reference(m):
+    for model in (m, _mirrored(m)):
+        assert (outcome(apsp_circular_arc, model)
+                == outcome(apsp_circular_arc_reference, model))
+        assert (_hops(model.spans) == hops_reference(model.spans)).all()
 
 
 # -- properness and the rotated construction ---------------------------------

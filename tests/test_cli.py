@@ -202,6 +202,41 @@ def test_gen_size_is_capped_before_anything_is_drawn(capsys):
     assert generate_model(GeneratorSpec("permutation", MAX_N, 1)).model.n == MAX_N
 
 
+def test_gen_box_dimension_is_capped_before_anything_is_drawn(capsys):
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "gen", "--kind", "boxes", "--n", "2", "--k", str(10 ** 9))
+    assert time.perf_counter() - t0 < 0.01
+    assert rc == 1 and out == ""
+    assert err == f"error: box dimension must be an int in 1..{MAX_N}, got {10 ** 9}\n"
+    for k in (0, -1, True, 2.0, "2", MAX_N + 1):
+        with pytest.raises(BadParams, match="box dimension"):
+            generate_model(GeneratorSpec("boxes", 2, 1, {"k": k}))
+    assert generate_model(GeneratorSpec("boxes", 2, 1, {"k": MAX_N})).model.k == MAX_N
+    assert generate_model(GeneratorSpec("boxes", MAX_N, 1)).model.n == MAX_N
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("interval", {"stict": True}),
+    ("interval", {"r": 1}),
+    ("arcs", {"connected": True}),
+    ("disks", {"k": 2}),
+    ("boxes", {"r": 1}),
+    ("graph", {"weight": True}),
+])
+def test_gen_rejects_parameters_the_kind_does_not_read(kind, params):
+    (key,) = params
+    with pytest.raises(BadParams, match=f"takes no generator parameter '{key}'"):
+        generate_model(GeneratorSpec(kind, 3, 1, params))
+
+
+def test_gen_accepts_every_parameter_its_kind_reads():
+    for kind, params in (("interval", {"strict": True, "connected": True}),
+                         ("disks", {"r": 2}), ("boxes", {"k": 3})):
+        for weights in (True, False):
+            mf = generate_model(GeneratorSpec(kind, 4, 1, {**params, "weights": weights}))
+            assert (mf.weights is not None) is weights
+
+
 # graph-kind files whose edges numpy would misread or could not hold: each
 # keeps the error the per-edge reader gave
 GRAPH_FILE_ERRORS = {

@@ -1,6 +1,7 @@
 """Dotted intervals, tolerance reps, chords, disks, boxes, line graphs."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import classify_tolerance_rep_reference, outcome
+from isect.arcs import ArcModel, arc_contains_point
 from isect.errors import (
     BadParams,
     DimensionMismatch,
@@ -274,6 +276,26 @@ def test_unit_disk_coloring_bound():
         chi = brute_solve(g, "chromatic_number").value
         omega = brute_solve(g, "max_clique").value
         assert chi <= 3 * omega - 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: IntervalModel.build([(0, x)]),
+    lambda x: ArcModel.build([(0, x)]),
+    lambda x: DiskPoints.build([(0, x)], 1),
+    lambda x: DiskPoints.build([(0, 0)], x),
+    lambda x: KBoxModel.build(1, [[(0, x)]]),
+    lambda x: arc_contains_point((1, 3), x),
+    lambda x: ToleranceRep.build([(0, x)], [1]),
+])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_coordinate_is_a_malformed_model(build, x):
+    with pytest.raises(MalformedModel, match="not .*rational"):
+        build(x)
+
+
+def test_an_infinite_tolerance_stays_legal():
+    rep = ToleranceRep.build([(0, 2), (1, 3)], [math.inf, 1])
+    assert rep.tolerances == (INFINITE_TOLERANCE, Fraction(1))
 
 
 def test_box_validation():

@@ -583,5 +583,5 @@ def test_first_fault_in_item_order_is_reported():
         IntervalModel.build([(2, 1), (0, math.inf)])
     with pytest.raises(MalformedModel, match="arc 1 has coinciding endpoints"):
         ArcModel.build([(4, 4), (0, math.inf)])
-    with pytest.raises(OverflowError):
+    with pytest.raises(MalformedModel, match="interval 2 is not a pair of rationals"):
         IntervalModel.build([(1, 2), (0, math.inf)])

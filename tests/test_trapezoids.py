@@ -1,7 +1,10 @@
 """Trapezoid corner tests, derived representations, and order checks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import check_cocomparability_order_reference, outcome
 from isect.chordal import is_weakly_chordal_bruteforce
 from isect.errors import MalformedModel
 from isect.graph import Graph
@@ -189,6 +192,41 @@ def test_cocomparability_fixtures():
         check_cocomparability_order(c4, (1, 2, 3))
     with pytest.raises(MalformedModel):
         check_cocomparability_order(c4, (1, 2, 3, 3))
+
+
+@st.composite
+def graphs_and_orders(draw):
+    """A random graph on 0..9 vertices at one of three densities, or the
+    graph of a random trapezoid model; then an order, now and then with a
+    vertex left out or listed twice."""
+    n = draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        top = draw(st.permutations(range(1, 2 * n + 1)))
+        bot = draw(st.permutations(range(1, 2 * n + 1)))
+        items = sorted((tuple(sorted(top[2 * i:2 * i + 2]))
+                        + tuple(sorted(bot[2 * i:2 * i + 2])) for i in range(n)),
+                       key=lambda it: it[1])
+        g = build_trapezoid_graph(TrapezoidModel.build(items))
+    else:
+        density = draw(st.sampled_from([1, 2, 3]))
+        g = Graph.build(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                            if draw(st.integers(0, 3)) < density])
+    order = list(draw(st.permutations(range(1, n + 1))))
+    fault = draw(st.sampled_from(["none"] * 6 + ["drop", "twice"]))
+    if fault == "drop" and order:
+        order.pop()
+    elif fault == "twice" and order:
+        order[-1] = order[0]
+    return g, order
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_and_orders())
+def test_cocomparability_check_matches_the_reference(case):
+    g, order = case
+    for seq in (order, range(1, g.n + 1)):
+        assert (outcome(check_cocomparability_order, g, seq)
+                == outcome(check_cocomparability_order_reference, g, seq))
 
 
 def test_no_order_rescues_a_five_cycle():
