@@ -14,6 +14,7 @@ matters.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,7 +30,7 @@ from .errors import (
     MalformedModel,
     SharedEndpoint,
 )
-from .graph import (Graph, WeightsArg, coerce_weights, lex_weights, pairs_graph,
+from .graph import (Graph, WeightsArg, coerce_weights, lex_trim, lex_weights, pairs_graph,
                     rational, rational_pair)
 from .intervals import IntervalModel, mwis_interval, rank_pairs
 
@@ -284,12 +285,22 @@ def mwis_circular_arc(m: ArcModel, weights: WeightsArg = None) -> tuple[int, ...
 
     Straighten at the gap the fewest arcs cover.  The arcs crossing the
     cut pairwise meet, so an independent set is forward arcs alone, or
-    one crossing arc i and forward arcs in its gap: one interval case
-    each, i meeting none of the others.  The cases hold every independent
-    set and no other, and each returns its lexicographically smallest
-    optimum, with no zero-weight tail.  So no equally heavy case optimum
-    is a prefix of another, and the one with the largest total under the
-    global ``lex_weights`` is also the smallest tuple.
+    one crossing arc i and forward arcs in its gap: i meets none of
+    those.  Forward arcs alone are one interval solve.  Crossing arc i,
+    straightened to [a, b], leaves the forward arcs that start past b and
+    end before a + 2n: with the forward arcs sorted by right end, a
+    prefix of them, masked by their left ends.  One pass of the interval
+    DP over that prefix, skipping the arcs the mask drops, solves case i
+    on the global ``lex_weights``: the best total over the masked arcs
+    ending left of arc k is already at hand when k is reached.  So the
+    sort and each arc's predecessor count are shared, and the whole
+    solve is O(n log n + n·c) for c crossing arcs.
+
+    The cases hold every independent set and no other, and each returns
+    its lexicographically smallest optimum, with no zero-weight tail.  So
+    no equally heavy case optimum is a prefix of another, and the one
+    with the largest total under the global ``lex_weights`` is also the
+    smallest tuple.
     """
     if m.n == 0:
         return ()
@@ -302,15 +313,29 @@ def mwis_circular_arc(m: ArcModel, weights: WeightsArg = None) -> tuple[int, ...
     cut = int(np.argmin(np.cumsum(delta)[1:])) + 1
     pairs = _straighten(m, cut)
     fwd = [r for r in range(1, m.n + 1) if pairs[r - 1][0] >= 1]
-    # case i: the crossing arc i and the forward arcs strictly inside its gap
-    cases = [fwd] + [sorted([i] + [r for r in fwd if b < pairs[r - 1][0]
-                                   and pairs[r - 1][1] < a + 2 * m.n])
-                     for i, (a, b) in enumerate(pairs, start=1) if a < 1]
-    found = []
-    for ids in cases:
-        pick = mwis_interval(IntervalModel.build([pairs[r - 1] for r in ids]),
-                             [w[r - 1] for r in ids])
-        found.append(tuple(ids[k - 1] for k in pick))
+    pick = mwis_interval(IntervalModel.build([pairs[r - 1] for r in fwd]),
+                         [w[r - 1] for r in fwd])
+    found = [tuple(fwd[k - 1] for k in pick)]
+    # the forward arcs by right end; before[k]: how many end left of the k-th
+    order = sorted(fwd, key=lambda r: pairs[r - 1][1])
+    left = [pairs[r - 1][0] for r in order]
+    right = [pairs[r - 1][1] for r in order]
+    before = [bisect_left(right, x) for x in left]
+    lwo = [lw[r - 1] for r in order]
+    for i, (a, b) in enumerate(pairs, start=1):
+        if a >= 1:
+            continue
+        best = [0]
+        for x, j, y in zip(left[:bisect_left(right, a + 2 * m.n)], before, lwo):
+            best.append(max(best[-1], best[j] + y) if x > b else best[-1])
+        chosen, k = [i], len(best) - 1
+        while k:
+            if best[k] == best[k - 1]:
+                k -= 1
+            else:
+                chosen.append(order[k - 1])
+                k = before[k - 1]
+        found.append(lex_trim(sorted(chosen), w))
     return max(found, key=lambda chosen: sum(lw[v - 1] for v in chosen))
 
 
@@ -324,19 +349,25 @@ def _hops(spans: Sequence[Span]) -> np.ndarray:
     span = (tails - heads) % two_n
     # all sources step their chains of ends at once, each end marked at its
     # distance clockwise from the head; at h + 2n the whole gap is swept
-    seen = np.zeros((n, two_n + 1), dtype=np.int32)
+    seen = np.zeros((n, two_n + 2), dtype=np.int32)
+    rows, total = np.arange(n), np.zeros(n, dtype=np.int32)
     end, last = heads + span, heads
-    while (end != last).any():
-        seen[np.arange(n), end - heads] = 1
+    while (moved := end != last).any():
+        seen[rows, end - heads] = 1
+        total += moved
         end, last = np.minimum(np.maximum(cw[end], end), heads + two_n), end
-    below = np.cumsum(seen, axis=1, out=seen)
+    # just past the last end the count is lifted to n: the reach never
+    # passes a head beyond it
+    seen[rows, last - heads + 1] = n - total
+    np.cumsum(seen, axis=1, out=seen)
     rel_h = heads - heads[:, None]
     rel_h += two_n * (rel_h < 0)  # (h_v - h_s) mod 2n
-    # no end lies on a head, so below[s, rel_h] ends come before v's head:
+    # no end lies on a head, so seen[s, rel_h] ends come before v's head:
     # none when v's head lies in s; v also meets s when it runs over h_s
-    count = np.take_along_axis(below, rel_h, axis=1)
-    out = np.where(rel_h + span < two_n,
-                   np.where(count < below[:, -1:], count + 1, n + 1), 1)
+    out = np.take_along_axis(seen, rel_h, axis=1)
+    out += 1
+    rel_h += span
+    out[rel_h >= two_n] = 1
     np.fill_diagonal(out, 0)
     return out
 

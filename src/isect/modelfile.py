@@ -141,9 +141,11 @@ def _weights(doc: Mapping[str, object], n: int) -> Optional[tuple[Fraction, ...]
         for key, val in raw.items():
             try:
                 ident = int(key)
-            except ValueError as exc:
-                raise SchemaError(f"weight key {key!r} is not a vertex id",
-                                  path) from exc
+            except ValueError:
+                ident = None
+            # one spelling per id, so "01" or " 1" cannot alias vertex 1
+            if ident is None or key != str(ident):
+                raise SchemaError(f"weight key {key!r} is not a vertex id", path)
             if not 1 <= ident <= n:
                 raise SchemaError(f"weight names unknown vertex {ident}", path)
             vals[ident - 1] = _number(val, f"{path}.{key}")

@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from isect.chordal import MAX_NEIGHBOURHOOD, PERFECT, STRONG, CliqueGraph, Ordering
-from isect.arcs import ArcModel, Span, _reach_table
+from isect.arcs import ArcModel, Span, _reach_table, _straighten
 from isect.errors import (
     BadParams,
     DisconnectedGraph,
@@ -37,6 +37,7 @@ from isect.graph import (
     balls,
     bfs_apsp,
     coerce_weights,
+    lex_weights,
 )
 from isect.intervals import (
     IntervalModel,
@@ -44,6 +45,7 @@ from isect.intervals import (
     _events,
     _parents,
     build_interval_graph,
+    mwis_interval,
     overlaps,
 )
 from isect.modelfile import _field, _integer, _number, _record
@@ -1289,3 +1291,29 @@ def apsp_circular_arc_reference(m: ArcModel) -> list[list[int]]:
     if (dist > m.n).any():
         raise DisconnectedGraph("distances need a connected model")
     return dist.tolist()
+
+
+# Arc MWIS as it was before the crossing cases shared one sort: a fresh
+# interval model and one mwis_interval call per case.  test_arcs.py
+# compares the live code with it.
+
+def mwis_circular_arc_reference(m: ArcModel, weights: WeightsArg = None) -> tuple[int, ...]:
+    if m.n == 0:
+        return ()
+    w = coerce_weights(m.n, weights)
+    lw = lex_weights(w)
+    heads, tails = np.array(m.spans).T
+    delta = np.zeros(2 * m.n + 1, dtype=np.int64)
+    delta[heads], delta[tails] = 1, -1
+    cut = int(np.argmin(np.cumsum(delta)[1:])) + 1
+    pairs = _straighten(m, cut)
+    fwd = [r for r in range(1, m.n + 1) if pairs[r - 1][0] >= 1]
+    cases = [fwd] + [sorted([i] + [r for r in fwd if b < pairs[r - 1][0]
+                                   and pairs[r - 1][1] < a + 2 * m.n])
+                     for i, (a, b) in enumerate(pairs, start=1) if a < 1]
+    found = []
+    for ids in cases:
+        pick = mwis_interval(IntervalModel.build([pairs[r - 1] for r in ids]),
+                             [w[r - 1] for r in ids])
+        found.append(tuple(ids[k - 1] for k in pick))
+    return max(found, key=lambda chosen: sum(lw[v - 1] for v in chosen))

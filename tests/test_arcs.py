@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import apsp_circular_arc_reference, hops_reference, is_proper_reference, outcome
+from helpers import (apsp_circular_arc_reference, hops_reference, is_proper_reference,
+                     mwis_circular_arc_reference, outcome)
 from isect.arcs import (
     ArcModel,
     CIParams,
@@ -388,6 +389,59 @@ def test_mwis_scales_to_a_weighted_model_of_800():
     assert elapsed < 1.5, f"mwis_circular_arc took {elapsed:.3f} s at n = 800"
 
 
+@st.composite
+def rational_arc_models(draw):
+    """0..12 arcs on distinct rational endpoints, paired in draw order, so
+    an arc wraps whenever its head comes out above its tail."""
+    n = draw(st.integers(0, 12))
+    ends = draw(st.lists(st.builds(Fraction, st.integers(0, 60), st.integers(1, 4)),
+                         min_size=2 * n, max_size=2 * n, unique=True))
+    return ArcModel.build([(ends[2 * k], ends[2 * k + 1]) for k in range(n)])
+
+
+@st.composite
+def ci_rings(draw):
+    """Proper rings of 2n arcs, each arc meeting k arcs on either side,
+    k = 1..3 or n // 6, so the reach chains run about n / k hops."""
+    n = draw(st.integers(2, 24))
+    k = draw(st.sampled_from([k for k in (1, 2, 3, n // 6) if 1 <= k < n]))
+    eps = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 4), Fraction(1, 7)]))
+    return generate_ci(CIParams.build(n, k, eps))
+
+
+@st.composite
+def arc_weights(draw, n: int):
+    """None, all zero, unit, rational, a mapping, or a bad argument."""
+    rationals = st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["none", "zero", "unit", "rational", "mapping",
+                                 "length", "negative", "unknown"]))
+    if kind == "none":
+        return None
+    if kind in ("zero", "unit"):
+        return [int(kind == "unit")] * n
+    if kind == "rational":
+        return draw(st.lists(rationals, min_size=n, max_size=n))
+    if kind == "mapping":
+        return draw(st.dictionaries(st.integers(1, max(n, 1)), rationals)) if n else {}
+    if kind == "length":
+        return [1] * (n + draw(st.sampled_from([-1, 1])))
+    if kind == "negative":
+        return [1] * (n - 1) + [-1] if n else [-1]
+    return {n + 1: 1}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(rational_arc_models(), ci_rings()).flatmap(
+    lambda m: st.tuples(st.just(m), arc_weights(m.n))))
+@example((ArcModel.build(K3_ARCS), [1, 5, 2]))
+@example((ArcModel.build([(3, 20), (7, 14), (23, 17), (6, 8), (12, 5), (9, 11)]),
+          [0, 0, 0, 0, 1, 0]))
+def test_mwis_matches_the_reference(case):
+    m, weights = case
+    assert (outcome(mwis_circular_arc, m, weights)
+            == outcome(mwis_circular_arc_reference, m, weights))
+
+
 # -- distances ---------------------------------------------------------------
 
 def test_apsp_fixtures():
@@ -482,16 +536,6 @@ def raw_arc_models(draw):
     turned = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
     return ArcModel.build([(pts[2 * i + (i in turned)], pts[2 * i + 1 - (i in turned)])
                            for i in range(n)])
-
-
-@st.composite
-def ci_rings(draw):
-    """Proper rings of 2n arcs, each arc meeting k arcs on either side, so
-    the reach chains run about n / k hops."""
-    k = draw(st.integers(1, 3))
-    n = draw(st.integers(k + 1, 20))
-    eps = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 4), Fraction(1, 7)]))
-    return generate_ci(CIParams.build(n, k, eps))
 
 
 def _mirrored(m: ArcModel) -> ArcModel:

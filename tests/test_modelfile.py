@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +139,11 @@ def test_weight_shape_errors():
         parse_model_file(base % '{"9": 1}')
     with pytest.raises(SchemaError, match="not a vertex id"):
         parse_model_file(base % '{"one": 1}')
+    # int() reads each of these as an id, "1_0" as 10 and the rest as 1, so
+    # a second spelling of vertex 1 would overwrite its weight silently
+    for key in ("01", " 1", "1 ", "+1", "\u0661", "1_0"):
+        with pytest.raises(SchemaError, match=re.escape(f"weight key {key!r} is not")):
+            parse_model_file(base % json.dumps({"1": 5, key: 7}))
 
 
 def test_tolerance_inf_and_values():
