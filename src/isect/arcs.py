@@ -95,6 +95,15 @@ class ArcModel:
         """Every point of the circle lies on some arc."""
         return self.n > 0 and _uncovered_gap(self.spans) is None
 
+    @cached_property
+    def connected(self) -> bool:
+        """The intersection graph is connected: at most one gap is uncovered.
+        Every endpoint lies on its own arc, so no two open gaps are adjacent,
+        and k >= 2 of them cut the union into k non-empty pieces."""
+        if self.n <= 1:
+            return True
+        return bool(np.count_nonzero(_reach_table(self.spans)[1:2 * self.n + 1] == 0) <= 1)
+
 
 def _coinciding(pairs: Sequence[ArcPair]) -> None:
     # names the first arc whose head is its tail, if any
@@ -384,16 +393,16 @@ def apsp_circular_arc(m: ArcModel) -> list[list[int]]:
     near endpoint of v, the count of that end's positions before it.  All
     chains step in lockstep, at most n + 1 steps of O(n), and one running
     count per row reads the counts off: O(n²) time and memory.  Raises
-    EmptyGraph for no arcs, DisconnectedGraph when some arc is never reached.
+    EmptyGraph for no arcs, and DisconnectedGraph, before any table is
+    built, when the model is not connected.
     """
     if m.n == 0:
         raise EmptyGraph("no distances in an empty model")
+    if not m.connected:
+        raise DisconnectedGraph("distances need a connected model")
     # the counter-clockwise chains are the clockwise ones of the mirror
     mirror = [(2 * m.n + 1 - t, 2 * m.n + 1 - h) for h, t in m.spans]
-    dist = np.minimum(_hops(m.spans), _hops(mirror))
-    if (dist > m.n).any():
-        raise DisconnectedGraph("distances need a connected model")
-    return dist.tolist()
+    return np.minimum(_hops(m.spans), _hops(mirror)).tolist()
 
 
 def is_proper(m: ArcModel) -> bool:

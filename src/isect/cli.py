@@ -172,12 +172,11 @@ def _require_kind(kind: Optional[str], allowed: tuple[str, ...], suite: str) -> 
     return got
 
 
-def _connected_model(kind: str, n: int, rng: SplitMix64, params=None):
-    # redraw seeds until the built graph is connected
+def _connected_model(kind: str, n: int, rng: SplitMix64):
+    # redraw seeds until the model is connected
     while True:
-        mf = generate_model(GeneratorSpec(kind, n, rng.next_u64() >> 1,
-                                          params or {}))
-        if _BUILDERS[kind](mf.model).is_connected():
+        mf = generate_model(GeneratorSpec(kind, n, rng.next_u64() >> 1))
+        if mf.model.connected:
             return mf
 
 

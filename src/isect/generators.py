@@ -17,7 +17,7 @@ from .geom import (
     ToleranceRep,
 )
 from .graph import Graph, pairs_graph
-from .intervals import IntervalModel, build_interval_graph
+from .intervals import IntervalModel
 from .modelfile import MAX_N, ModelFile
 from .permutations import Permutation
 from .rng import SplitMix64, outputs
@@ -50,7 +50,7 @@ def _gen_interval(rng: SplitMix64, n: int, params) -> IntervalModel:
         if strict:
             rows.sort(key=lambda ab: ab[1])
         m = IntervalModel.build(rows, strict=strict)
-        if not connected or build_interval_graph(m).is_connected():
+        if not connected or m.connected:
             return m
 
 

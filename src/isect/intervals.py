@@ -76,6 +76,17 @@ class IntervalModel:
         """The intervals with each endpoint replaced by its rank."""
         return rank_pairs(self.intervals)
 
+    @cached_property
+    def connected(self) -> bool:
+        """The intersection graph is connected: by left rank, each interval
+        starts at or before the farthest right rank before it (ties meet)."""
+        reach = 1  # the least endpoint, rank 1, is a left one
+        for a, b in sorted(self.spans):
+            if a > reach:
+                return False
+            reach = max(reach, b)
+        return True
+
     @property
     def n(self) -> int:
         return len(self.intervals)

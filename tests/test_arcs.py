@@ -64,7 +64,7 @@ def connected_arc_models(seed: int, count: int, lo: int, hi: int) -> list[ArcMod
         guard += 1
         assert guard < 80 * count, "rejection sampling stalled"
         m = random_arc_model(rng, rng.randint(lo, hi))
-        if build_circular_arc_graph(m).is_connected():
+        if m.connected:
             out.append(m)
     return out
 
@@ -552,6 +552,40 @@ def test_apsp_matches_the_reference(m):
         assert (outcome(apsp_circular_arc, model)
                 == outcome(apsp_circular_arc_reference, model))
         assert (_hops(model.spans) == hops_reference(model.spans)).all()
+
+
+@st.composite
+def short_arc_models(draw):
+    """0..12 arcs on a circle of length 24: arc k runs d_k + 1 / (4n + 4)
+    clockwise from a_k + (2k + 1) / (4n + 4), wrapping past 24.  The offsets
+    keep every endpoint distinct; d_k up to 1, 4 or 23 by draw makes both
+    connected and disconnected models common."""
+    n = draw(st.integers(0, 12))
+    top = draw(st.sampled_from([1, 4, 23]))
+    arcs = []
+    for k in range(n):
+        a = draw(st.integers(0, 23)) + Fraction(2 * k + 1, 4 * n + 4)
+        arcs.append((a, (a + draw(st.integers(0, top)) + Fraction(1, 4 * n + 4)) % 24))
+    return ArcModel.build(arcs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(short_arc_models(), rational_arc_models(), raw_arc_models()))
+@example(ArcModel.build([]))
+@example(ArcModel.build([(1, 2)]))
+def test_connected_matches_the_graph(m):
+    assert m.connected == build_circular_arc_graph(m).is_connected()
+
+
+def test_connected_allows_one_open_gap_not_two():
+    # PATH3 and its wrapping turn leave one gap open, past 6 and past 5
+    for arcs in (PATH3, [(6, 2), (1, 4), (3, 5)]):
+        m = ArcModel.build(arcs)
+        assert not m.covers_circle and m.connected
+    # open gaps past 4 and 6, then past 2 and 4 with arcs that wrap
+    for arcs in ([(1, 3), (2, 4), (5, 6)], [(5, 1), (6, 2), (3, 4)]):
+        m = ArcModel.build(arcs)
+        assert not m.connected and not build_circular_arc_graph(m).is_connected()
 
 
 # -- properness and the rotated construction ---------------------------------

@@ -66,7 +66,7 @@ def connected_strict_models(seed: int, count: int, lo: int, hi: int):
         assert attempts < 100 * count, "generator kept producing disconnected models"
         n = rng.randint(lo, hi)
         strict, _ = normalize(random_model(rng, n))
-        if build_interval_graph(strict).is_connected():
+        if strict.connected:
             got += 1
             yield strict
 
@@ -211,6 +211,29 @@ def test_spans_order_like_the_rationals(pairs):
     for x, rx in zip(pts, ranks):
         for y, ry in zip(pts, ranks):
             assert (x < y) == (rx < ry) and (x == y) == (rx == ry)
+
+
+@st.composite
+def grid_models(draw):
+    """0..12 intervals starting on the grid k / 3 in [0, 12], at most 2/3, 2
+    or 12 long by draw, so shared and touching ends are common, and so are
+    connected and disconnected models."""
+    n = draw(st.integers(0, 12))
+    top = draw(st.sampled_from([2, 6, 36]))
+    starts = draw(st.lists(st.integers(0, 36), min_size=n, max_size=n))
+    lengths = draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+    return IntervalModel.build([(Fraction(a, 3), Fraction(a + d, 3))
+                                for a, d in zip(starts, lengths)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_models())
+@example(IntervalModel.build([]))
+@example(IntervalModel.build([(0, 1), (1, 2)]))
+@example(IntervalModel.build([(0, 1), (2, 3), (1, 2)]))
+@example(IntervalModel.build([(0, 1), (Fraction(3, 2), 2)]))
+def test_connected_matches_the_graph(m):
+    assert m.connected == build_interval_graph(m).is_connected()
 
 
 @settings(max_examples=60, deadline=None)
