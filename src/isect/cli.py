@@ -36,7 +36,7 @@ from .intervals import (
     normalize,
     tree_3_spanner,
 )
-from .modelfile import ModelFile, _num_out, parse_model_file, emit_model_file
+from .modelfile import ModelFile, parse_model_file, emit_model_file
 from .oracles import brute_solve, find_hole
 from .permutations import (
     build_permutation_graph,
@@ -131,7 +131,7 @@ def _structured(mf: ModelFile, problem: str) -> tuple[object, list]:
 
 def _cmd_solve(args) -> int:
     value, line = _structured(_read_model(args.model), args.problem)
-    print("value", _num_out(value))
+    print("value", Fraction(value))
     print(*line)
     return 0
 
@@ -141,7 +141,7 @@ def _cmd_oracle(args) -> int:
     g = _graph_of(mf)
     name = "chromatic_number" if args.problem == "coloring" else args.problem
     sol = brute_solve(g, name, k=args.k)
-    print("value", _num_out(sol.value) if name == "mwis" else sol.value)
+    print("value", Fraction(sol.value) if name == "mwis" else sol.value)
     if name == "chromatic_number":
         print("colors", *sol.witness)
     elif name == "min_clique_cover":

@@ -17,7 +17,6 @@ from functools import cached_property
 from itertools import chain, islice, zip_longest
 from math import lcm
 from numbers import Integral
-from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -195,6 +194,16 @@ def _normalize_edge_pairs(edges: Iterable[tuple[int, int]], n: int) -> np.ndarra
                        count=2 * len(pairs)).reshape(-1, 2)
 
 
+def _name_table(names: np.ndarray, left: bytes, right: bytes) -> np.ndarray:
+    """``left + name + right`` for each NUL-padded name, one S string a row."""
+    w, a = names.dtype.itemsize, len(left)
+    block = np.empty((len(names), a + w + len(right)), np.uint8)
+    block[:, :a] = np.frombuffer(left, np.uint8)
+    block[:, a:a + w] = names.view(np.uint8).reshape(-1, w)
+    block[:, a + w:] = np.frombuffer(right, np.uint8)
+    return block.view(f"S{block.shape[1]}").ravel()
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected graph on vertices 1..n.
@@ -281,24 +290,30 @@ class Graph:
         """Every edge in order, written as ``pattern`` with its ends in
         place of ``{u}`` and ``{v}``, joined by ``sep``.
 
-        Each vertex is formatted once, into a table of the vertices the
-        edges name, so the text costs a lookup and a concatenation per edge.
+        Two byte tables over the vertices the edges name hold the text of
+        ``pattern`` up to and after ``{v}``, each name NUL-padded to the
+        width of the largest; one gather writes every edge and the padding
+        is dropped, so a NUL in ``pattern`` or ``sep`` is a ValueError.
         """
+        if "\0" in pattern + sep:
+            raise ValueError("edge_text patterns cannot hold a NUL")
         head, rest = pattern.split("{u}")
         mid, tail = rest.split("{v}")
         rows = self.edge_array
         top = int(rows[:, 1].max(initial=0))
         if top <= rows.size:
-            ids, slots = range(top + 1), rows
+            ids, slots = np.arange(top + 1), rows
         else:
             # sparse ids: a table of only the ids in use, not all of 0..top
             ids, slots = np.unique(rows, return_inverse=True)
-            ids, slots = ids.tolist(), slots.reshape(rows.shape)
-        names = list(map(str, ids))
-        pre = [head + s + mid for s in names]
-        post = [s + tail for s in names]
-        lo, hi = slots.T.tolist()
-        return sep.join(map(add, map(pre.__getitem__, lo), map(post.__getitem__, hi)))
+            slots = slots.reshape(rows.shape)
+        names = ids.astype(f"S{len(str(ids[-1]))}")
+        pre = _name_table(names, head.encode(), mid.encode())
+        post = _name_table(names, b"", (tail + sep).encode())
+        # the record array stays unnamed, so it is freed once its bytes are out
+        text = np.rec.fromarrays([pre.take(slots[:, 0]), post.take(slots[:, 1])]).tobytes()
+        text = text.translate(None, b"\0")
+        return str(memoryview(text)[:len(text) - len(sep.encode())], "utf-8")
 
     def complement(self) -> "Graph":
         # the strict upper triangle less the edges; argwhere reads it row-major, sorted

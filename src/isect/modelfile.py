@@ -207,9 +207,26 @@ def _wrap(build, *args):
         raise ValidationError(str(exc)) from exc
 
 
-def _num_out(x) -> object:
+def _scalar(x) -> str:
+    """A rational as the model file writes it: an integer, else "p/q"."""
     f = x if type(x) is Fraction else Fraction(x)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(f.numerator) if f.denominator == 1 else f'"{f.numerator}/{f.denominator}"'
+
+
+def _layout(parts: list[str], depth: int, brackets: str = "[]") -> str:
+    """Values already laid out, as one list (or object) at nesting
+    ``depth`` the way json.dumps(indent=2) writes it; ``[]`` (``{}``) if none."""
+    if not parts:
+        return brackets
+    pad = "\n" + "  " * depth
+    return f"{brackets[0]}{pad}  {f',{pad}  '.join(parts)}{pad}{brackets[1]}"
+
+
+def _items(names: tuple[str, ...], rows) -> list[str]:
+    """The "items" key: one record pattern of an id and ``names``, filled per row."""
+    pattern = _layout(['"id": %d', *(f'"{f}": %s' for f in names)], 2, "{}")
+    records = [pattern % (i, *row) for i, row in enumerate(rows, start=1)]
+    return [',\n  "items": ' + _layout(records, 1)]
 
 
 def _parse_permutation(doc, items):
@@ -277,57 +294,53 @@ def _parse_graph(doc, items):
 
 # kind -> (parser, emitter).  A parser takes the document and its items
 # list and returns the typed model; an emitter takes the model and returns
-# the document's keys after "kind", in order.
+# the text of the document's keys after "kind", in pieces joined once.
 _FORMATS = {
     "interval": (
         lambda doc, items: _wrap(IntervalModel.build,
                                  _by_id(items, ("a", "b"))),
-        lambda m: {"items": [{"id": i, "a": _num_out(a), "b": _num_out(b)}
-                             for i, (a, b) in enumerate(m.intervals, start=1)]}),
+        lambda m: _items(("a", "b"), [map(_scalar, ab) for ab in m.intervals])),
     "arcs": (
         lambda doc, items: _wrap(ArcModel.build, _by_id(items, ("h", "t"))),
-        lambda m: {"items": [{"id": i, "h": _num_out(h), "t": _num_out(t)}
-                             for i, (h, t) in enumerate(m.arcs, start=1)]}),
+        lambda m: _items(("h", "t"), [map(_scalar, ht) for ht in m.arcs])),
     "permutation": (
         _parse_permutation,
-        lambda p: {"items": [{"pi": list(p.pi)}]}),
+        lambda p: [',\n  "items": ' + _layout(
+            [_layout(['"pi": ' + _layout(list(map(str, p.pi)), 3)], 2, "{}")], 1)]),
     "trapezoid": (
         lambda doc, items: _wrap(TrapezoidModel.build, [
             _integers(row) for row in _by_id(items, ("a", "b", "c", "d"), exact=int)]),
-        lambda m: {"items": [{"id": i, "a": a, "b": b, "c": c, "d": d}
-                             for i, (a, b, c, d) in enumerate(m.items, start=1)]}),
+        lambda m: _items(("a", "b", "c", "d"), m.items)),
     "dotted": (
         lambda doc, items: tuple(
             _wrap(DottedInterval.build, *_integers(row))
             for row in _by_id(items, ("s", "t", "d"), exact=int)),
-        lambda m: {"items": [{"id": i, "s": it.s, "t": it.t, "d": it.d}
-                             for i, it in enumerate(m, start=1)]}),
+        lambda m: _items(("s", "t", "d"), [(it.s, it.t, it.d) for it in m])),
     "tolerance": (
         _parse_tolerance,
-        lambda m: {"items": [
-            {"id": i, "a": _num_out(a), "b": _num_out(b),
-             "tol": "inf" if t == INFINITE_TOLERANCE else _num_out(t)}
-            for i, ((a, b), t) in enumerate(zip(m.intervals, m.tolerances), start=1)]}),
+        lambda m: _items(("a", "b", "tol"), [
+            (_scalar(a), _scalar(b), '"inf"' if t == INFINITE_TOLERANCE else _scalar(t))
+            for (a, b), t in zip(m.intervals, m.tolerances)])),
     "chords": (
         lambda doc, items: _wrap(ChordModel.build, [
             _integers(row) for row in _by_id(items, ("x", "y"), exact=int)]),
-        lambda m: {"items": [{"id": i, "x": x, "y": y}
-                             for i, (x, y) in enumerate(m.chords, start=1)]}),
+        lambda m: _items(("x", "y"), m.chords)),
     "disks": (
         lambda doc, items: _wrap(DiskPoints.build, _by_id(items, ("x", "y")),
                                  _number(_field(doc, "r", "$"), "$.r")),
-        lambda m: {"r": _num_out(m.r),
-                   "items": [{"id": i, "x": _num_out(x), "y": _num_out(y)}
-                             for i, (x, y) in enumerate(m.points, start=1)]}),
+        lambda m: [',\n  "r": ' + _scalar(m.r),
+                   *_items(("x", "y"), [map(_scalar, xy) for xy in m.points])]),
     "boxes": (
         _parse_boxes,
-        lambda m: {"items": [
-            {"id": i, "intervals": [[_num_out(lo), _num_out(hi)] for lo, hi in box]}
-            for i, box in enumerate(m.boxes, start=1)]}),
+        lambda m: _items(("intervals",), [
+            (_layout([_layout([_scalar(lo), _scalar(hi)], 4) for lo, hi in box], 3),)
+            for box in m.boxes])),
     "graph": (
         _parse_graph,
-        # the edges are written into the text by emit_model_file
-        lambda g: {"items": [{"n": g.n, "edges": []}]}),
+        # the edge block is one piece, as edge_text made it
+        lambda g: [',\n  "items": [\n    {\n      "n": %d,\n      "edges": ' % g.n,
+                   *(("[\n", g.edge_text(_EDGE_JSON, ",\n"), "\n      ]")
+                     if len(g.edge_array) else ("[]",)), "\n    }\n  ]"]),
 }
 
 # one edge of a graph document as json.dumps(indent=2) lays it out
@@ -340,18 +353,13 @@ def emit_model_file(mf: ModelFile) -> str:
     """Serialize a model document in canonical form.
 
     The output is stable: fixed key order, sorted structures, rationals
-    as "p/q" strings, a trailing newline.  Parsing and re-emitting any
-    emitted text reproduces it byte for byte.
+    as "p/q" strings, a trailing newline: json.dumps(indent=2)'s text,
+    laid out by hand.  Parsing and re-emitting reproduces it byte for byte.
     """
     if mf.kind not in KINDS:
         raise SchemaError(f"unknown kind {mf.kind!r}", "$.kind")
-    doc: dict[str, object] = {"kind": mf.kind, **_FORMATS[mf.kind][1](mf.model)}
+    pieces = ['{\n  "kind": "%s"' % mf.kind, *_FORMATS[mf.kind][1](mf.model)]
     if mf.weights is not None:
-        doc["weights"] = [_num_out(w) for w in mf.weights]
-    text = json.dumps(doc, indent=2) + "\n"
-    if mf.kind == "graph" and len(mf.model.edge_array):
-        # json.dumps with an indent runs its pure-Python encoder, per edge
-        # the slowest step, so the edge block is written from the array
-        edges = mf.model.edge_text(_EDGE_JSON, ",\n")
-        text = text.replace('"edges": []', f'"edges": [\n{edges}\n      ]', 1)
-    return text
+        pieces.append(',\n  "weights": ' + _layout(list(map(_scalar, mf.weights)), 1))
+    pieces.append("\n}\n")
+    return "".join(pieces)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import add
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -48,7 +50,7 @@ from isect.intervals import (
     mwis_interval,
     overlaps,
 )
-from isect.modelfile import _field, _integer, _number, _record
+from isect.modelfile import KINDS, ModelFile, _field, _integer, _number, _record
 from isect.oracles import (
     DEFAULT_ORACLE_BOUND,
     DEFAULT_PATH_ORACLE_BOUND,
@@ -1317,3 +1319,75 @@ def mwis_circular_arc_reference(m: ArcModel, weights: WeightsArg = None) -> tupl
                              [w[r - 1] for r in ids])
         found.append(tuple(ids[k - 1] for k in pick))
     return max(found, key=lambda chosen: sum(lw[v - 1] for v in chosen))
+
+
+# Text output as it was before the fixed tables: edge_text made one Python
+# string per edge from two tolist() lists, and a model file was built as
+# objects, written by json.dumps(indent=2), and given a graph's edge block
+# by a splice.  test_graph.py and test_modelfile.py compare the live code
+# with these.
+
+def edge_text_reference(g: Graph, pattern: str, sep: str = "") -> str:
+    head, rest = pattern.split("{u}")
+    mid, tail = rest.split("{v}")
+    rows = g.edge_array
+    top = int(rows[:, 1].max(initial=0))
+    if top <= rows.size:
+        ids, slots = range(top + 1), rows
+    else:
+        ids, slots = np.unique(rows, return_inverse=True)
+        ids, slots = ids.tolist(), slots.reshape(rows.shape)
+    names = list(map(str, ids))
+    pre = [head + s + mid for s in names]
+    post = [s + tail for s in names]
+    lo, hi = slots.T.tolist()
+    return sep.join(map(add, map(pre.__getitem__, lo), map(post.__getitem__, hi)))
+
+
+def num_out_reference(x) -> object:
+    f = x if type(x) is Fraction else Fraction(x)
+    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+# kind -> the document's keys after "kind", as objects for json.dumps
+EMITTERS_REFERENCE = {
+    "interval": lambda m: {"items": [
+        {"id": i, "a": num_out_reference(a), "b": num_out_reference(b)}
+        for i, (a, b) in enumerate(m.intervals, start=1)]},
+    "arcs": lambda m: {"items": [
+        {"id": i, "h": num_out_reference(h), "t": num_out_reference(t)}
+        for i, (h, t) in enumerate(m.arcs, start=1)]},
+    "permutation": lambda p: {"items": [{"pi": list(p.pi)}]},
+    "trapezoid": lambda m: {"items": [{"id": i, "a": a, "b": b, "c": c, "d": d}
+                                      for i, (a, b, c, d) in enumerate(m.items, start=1)]},
+    "dotted": lambda m: {"items": [{"id": i, "s": it.s, "t": it.t, "d": it.d}
+                                   for i, it in enumerate(m, start=1)]},
+    "tolerance": lambda m: {"items": [
+        {"id": i, "a": num_out_reference(a), "b": num_out_reference(b),
+         "tol": "inf" if t == INFINITE_TOLERANCE else num_out_reference(t)}
+        for i, ((a, b), t) in enumerate(zip(m.intervals, m.tolerances), start=1)]},
+    "chords": lambda m: {"items": [{"id": i, "x": x, "y": y}
+                                   for i, (x, y) in enumerate(m.chords, start=1)]},
+    "disks": lambda m: {"r": num_out_reference(m.r), "items": [
+        {"id": i, "x": num_out_reference(x), "y": num_out_reference(y)}
+        for i, (x, y) in enumerate(m.points, start=1)]},
+    "boxes": lambda m: {"items": [
+        {"id": i, "intervals": [[num_out_reference(lo), num_out_reference(hi)]
+                                for lo, hi in box]}
+        for i, box in enumerate(m.boxes, start=1)]},
+    "graph": lambda g: {"items": [{"n": g.n, "edges": []}]},
+}
+EDGE_JSON_REFERENCE = "        [\n          {u},\n          {v}\n        ]"
+
+
+def emit_model_file_reference(mf: ModelFile) -> str:
+    if mf.kind not in KINDS:
+        raise SchemaError(f"unknown kind {mf.kind!r}", "$.kind")
+    doc: dict[str, object] = {"kind": mf.kind, **EMITTERS_REFERENCE[mf.kind](mf.model)}
+    if mf.weights is not None:
+        doc["weights"] = [num_out_reference(w) for w in mf.weights]
+    text = json.dumps(doc, indent=2) + "\n"
+    if mf.kind == "graph" and len(mf.model.edge_array):
+        edges = edge_text_reference(mf.model, EDGE_JSON_REFERENCE, ",\n")
+        text = text.replace('"edges": []', f'"edges": [\n{edges}\n      ]', 1)
+    return text

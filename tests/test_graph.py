@@ -21,6 +21,7 @@ from helpers import (
     cut_vertices_and_blocks_reference,
     cycle_graph,
     edge_set_reference,
+    edge_text_reference,
     empty_graph,
     find_hole_reference,
     hinge_vertices_reference,
@@ -33,6 +34,7 @@ from helpers import (
     mwis_permutation_reference,
     next_to_shortest_reference,
     path_graph,
+    random_graph,
     rational_pair_reference,
     rationals_reference,
     reach_reference,
@@ -66,6 +68,7 @@ from isect.graph import (
     reach,
 )
 from isect.intervals import IntervalModel, build_interval_graph, mwis_interval
+from isect.modelfile import _EDGE_JSON
 from isect.oracles import (
     _acyclic_within,
     are_isomorphic_bruteforce,
@@ -74,6 +77,7 @@ from isect.oracles import (
     is_comparability_bruteforce,
 )
 from isect.permutations import Permutation, build_permutation_graph, mwis_permutation
+from isect.rng import SplitMix64
 from isect.trapezoids import check_cocomparability_order
 
 
@@ -206,6 +210,48 @@ def test_edge_text_on_sparse_vertex_ids():
     # a table over 0..10**12 would not fit; the ids in use are formatted instead
     g = Graph.build(10 ** 12, [(10 ** 12, 1), (5, 7), (7, 10 ** 12)])
     assert g.edge_text("{u}-{v}", ",") == "1-1000000000000,5-7,7-1000000000000"
+
+
+# braces and non-ASCII text around the ends, so the byte tables hold more
+# than one byte per character and the split keeps the other braces
+EDGE_PATTERNS = ["{u} {v}\n", _EDGE_JSON, "«{x}» {u} → {v} {}ü"]
+
+
+@st.composite
+def _edge_text_graphs(draw):
+    """Dense random graphs, paths, edgeless graphs, one edge, and sparse
+    ids up to 2**62 that make edge_text table only the ids in use."""
+    shape = draw(st.sampled_from(["dense", "path", "empty", "one", "sparse"]))
+    if shape == "dense":
+        return random_graph(SplitMix64(draw(st.integers(0, 2 ** 32))),
+                            draw(st.integers(2, 60)), draw(st.integers(1, 3)), 3)
+    if shape == "path":
+        return path_graph(draw(st.integers(1, 3000)))
+    if shape == "empty":
+        return empty_graph(draw(st.integers(0, 5)))
+    top = draw(st.sampled_from([2, 9, 10, 99, 100, 10 ** 6, 2 ** 62]))
+    ends = st.integers(1, top)
+    pairs = st.tuples(ends, ends).filter(lambda e: e[0] != e[1])
+    size = (1, 1) if shape == "one" else (1, 12)
+    return Graph.build(top, draw(st.lists(pairs, min_size=size[0], max_size=size[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_text_graphs(), st.sampled_from(EDGE_PATTERNS),
+       st.sampled_from(["", ",", ",\n", "; ", "·"]))
+@example(path_graph(10_000), "{u} {v}\n", "")
+@example(Graph.build(2 ** 62, [(1, 2 ** 62), (3, 2 ** 62 - 1)]), _EDGE_JSON, ",\n")
+def test_edge_text_matches_the_parents_writer(g, pattern, sep):
+    assert g.edge_text(pattern, sep) == edge_text_reference(g, pattern, sep)
+
+
+def test_edge_text_rejects_a_nul_in_its_pattern():
+    # the NUL padding of the name tables is dropped, and a NUL of the
+    # pattern's own would go with it
+    for g in (path_graph(3), empty_graph(2)):
+        for pattern, sep in (("{u}\0{v}", ""), ("{u} {v}", "\0")):
+            with pytest.raises(ValueError, match="NUL"):
+                g.edge_text(pattern, sep)
 
 
 def test_build_rejects_vertex_counts_past_int64():

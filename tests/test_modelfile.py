@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     arc_model_build_reference,
     by_id_reference,
+    emit_model_file_reference,
     interval_model_build_reference,
     numbers_reference,
     rational_pair_reference,
@@ -335,3 +336,93 @@ def test_reader_light_and_field_paths_agree():
     for text, fault in ((dotted, ValidationError), (trapezoid, SchemaError)):
         assert _outcome(text)[0] is fault
         assert _outcome(text) == _reference_outcome(text)
+
+
+# -- the writer against the parent's, on drawn and generated models -----------
+
+# negative rationals, and integers past 2**63
+RATIONALS = st.one_of(st.integers(-2 ** 70, 2 ** 70).map(Fraction),
+                      st.fractions(min_value=-100, max_value=100, max_denominator=60))
+POSITIVE = st.fractions(min_value=Fraction(1, 60), max_value=2 ** 70, max_denominator=60)
+
+
+@st.composite
+def raw_documents(draw):
+    """A valid document of any kind with n = 0..6 written as a user might:
+    ints or "p/q" strings, items in any order, weights as a list or keyed
+    by id, a rational disk radius, boxes of 1..3 sides."""
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(0, 6))
+
+    def spell(f):
+        return int(f) if f.denominator == 1 and draw(st.booleans()) else str(f)
+
+    doc, rows = {"kind": kind}, []
+    if kind in ("interval", "tolerance"):
+        for _ in range(n):
+            a = draw(RATIONALS)
+            rows.append({"a": spell(a), "b": spell(a + draw(POSITIVE))})
+            if kind == "tolerance":
+                rows[-1]["tol"] = "inf" if draw(st.booleans()) else spell(draw(POSITIVE))
+    elif kind in ("arcs", "disks"):
+        ends = list(map(spell, draw(st.lists(RATIONALS, min_size=2 * n, max_size=2 * n,
+                                             unique=True))))
+        names = ("h", "t") if kind == "arcs" else ("x", "y")
+        rows = [dict(zip(names, ends[2 * k:2 * k + 2])) for k in range(n)]
+        if kind == "disks":
+            doc["r"] = spell(draw(POSITIVE))
+    elif kind == "chords":
+        ends = draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=2 * n, max_size=2 * n,
+                             unique=True))
+        rows = [{"x": x, "y": y} for x, y in zip(ends[::2], ends[1::2])]
+    elif kind == "dotted":
+        for _ in range(n):
+            s, d = draw(st.integers(1, 2 ** 70)), draw(st.integers(1, 2 ** 70))
+            rows.append({"s": s, "t": s + d * draw(st.integers(0, 3)), "d": d})
+    elif kind == "boxes":
+        k = draw(st.integers(1, 3))
+        for _ in range(n):
+            los = [draw(RATIONALS) for _ in range(k)]
+            rows.append({"intervals": [[spell(lo), spell(lo + draw(POSITIVE))] for lo in los]})
+    elif kind == "trapezoid":
+        top, bottom = (draw(st.permutations(range(1, 2 * n + 1))) for _ in range(2))
+        tops = sorted((sorted(top[2 * k:2 * k + 2]) for k in range(n)), key=lambda p: p[1])
+        rows = [{"a": a, "b": b, "c": min(bottom[2 * k:2 * k + 2]), "d": max(bottom[2 * k:2 * k + 2])}
+                for k, (a, b) in enumerate(tops)]
+    if kind == "permutation":
+        doc["items"] = [{"pi": draw(st.permutations(range(1, n + 1)))}]
+    elif kind == "graph":
+        ends = st.integers(1, max(n, 1))
+        edges = st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]).map(list),
+                         max_size=20 if n > 1 else 0)
+        doc["items"] = [{"n": n, "edges": draw(edges)}]
+    else:
+        doc["items"] = draw(st.permutations([{"id": i, **row}
+                                             for i, row in enumerate(rows, start=1)]))
+    weights = st.one_of(st.just(Fraction(0)), POSITIVE).map(spell)
+    form = draw(st.sampled_from(["none", "list", "ids"]))
+    if form == "list":
+        doc["weights"] = [draw(weights) for _ in range(n)]
+    elif form == "ids":
+        doc["weights"] = {str(v): draw(weights)
+                          for v in draw(st.sets(st.integers(1, max(n, 1)), max_size=n))}
+    return json.dumps(doc)
+
+
+def _emits_as_the_parent(mf):
+    text = emit_model_file(mf)
+    assert text == emit_model_file_reference(mf)
+    assert emit_model_file(parse_model_file(text)) == text
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_documents())
+def test_writer_matches_the_parents_on_drawn_documents(text):
+    _emits_as_the_parent(parse_model_file(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(1, 10 ** 6), st.booleans())
+def test_writer_matches_the_parents_on_generated_models(kind, n, seed, weighted):
+    _emits_as_the_parent(generate_model(
+        GeneratorSpec(kind, n, seed, {"weights": True} if weighted else {})))
