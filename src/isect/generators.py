@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from .arcs import ArcModel
 from .errors import BadParams
 from .geom import (
@@ -78,20 +80,31 @@ def _gen_trapezoid(rng: SplitMix64, n: int, params) -> TrapezoidModel:
 
 
 def _gen_dotted(rng: SplitMix64, n: int, params) -> tuple[DottedInterval, ...]:
-    out = []
-    for _ in range(n):
-        s = rng.randint(1, 6 * n)
-        d = rng.randint(1, 6)
-        out.append(DottedInterval.build(s, s + d * rng.randint(0, n), d))
-    return tuple(out)
+    # s in 1..6n, d in 1..6 and k in 0..n, drawn in that order per item
+    draws = iter(rng.below_each([6 * n, 6, n + 1] * n))
+    return tuple(DottedInterval.build(s + 1, s + 1 + (d + 1) * k, d + 1)
+                 for s, d, k in zip(draws, draws, draws))
 
 
 def _gen_tolerance(rng: SplitMix64, n: int, params) -> ToleranceRep:
     pts = _endpoint_pool(rng, n)
     rows = [tuple(sorted((pts[2 * i], pts[2 * i + 1]))) for i in range(n)]
-    tols = [INFINITE_TOLERANCE if rng.coin() and rng.coin()
-            else Fraction(rng.randint(1, 8), rng.randint(1, 2))
-            for _ in range(n)]
+    # per vertex: two heads make the tolerance infinite, else it is
+    # randint(1, 8) / randint(1, 2); 2 to 4 outputs, read from one block of
+    # the 4n the chain can use, and then passed over
+    block = outputs(rng.state, np.arange(1, 4 * n + 1)).tolist()
+    used = 0
+    tols = []
+    for _ in range(n):
+        heads = block[used] < 1 << 63
+        if heads and block[used + 1] < 1 << 63:
+            tols.append(INFINITE_TOLERANCE)
+            used += 2
+        else:
+            used += 1 + heads
+            tols.append(Fraction(1 + (block[used] >> 61), 1 + (block[used + 1] >> 63)))
+            used += 2
+    rng.skip(used)
     return ToleranceRep.build(rows, tols)
 
 
@@ -102,8 +115,8 @@ def _gen_chords(rng: SplitMix64, n: int, params) -> ChordModel:
 
 def _gen_disks(rng: SplitMix64, n: int, params) -> DiskPoints:
     side = max(2, n)
-    pts = [(Fraction(rng.randint(0, 2 * side), 2),
-            Fraction(rng.randint(0, 2 * side), 2)) for _ in range(n)]
+    halves = iter([Fraction(v, 2) for v in rng.below_each([2 * side + 1] * (2 * n))])
+    pts = list(zip(halves, halves))
     return DiskPoints.build(pts, params.get("r", 1))
 
 
@@ -164,5 +177,5 @@ def generate_model(spec: GeneratorSpec) -> ModelFile:
     weights = None
     if spec.params.get("weights"):
         count = getattr(model, "n", spec.n)
-        weights = tuple(Fraction(rng.randint(1, 50)) for _ in range(count))
+        weights = tuple(Fraction(1 + v) for v in rng.below_each([50] * count))
     return ModelFile(spec.kind, model, weights)

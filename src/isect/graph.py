@@ -310,8 +310,12 @@ class Graph:
         names = ids.astype(f"S{len(str(ids[-1]))}")
         pre = _name_table(names, head.encode(), mid.encode())
         post = _name_table(names, b"", (tail + sep).encode())
-        # the record array stays unnamed, so it is freed once its bytes are out
-        text = np.rec.fromarrays([pre.take(slots[:, 0]), post.take(slots[:, 1])]).tobytes()
+        # one record per edge, its two fields written in place; freed as
+        # soon as its bytes are out
+        out = np.empty(len(slots), [("u", pre.dtype), ("v", post.dtype)])
+        out["u"], out["v"] = pre.take(slots[:, 0]), post.take(slots[:, 1])
+        text = out.tobytes()
+        del out
         text = text.translate(None, b"\0")
         return str(memoryview(text)[:len(text) - len(sep.encode())], "utf-8")
 

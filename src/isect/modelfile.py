@@ -11,6 +11,7 @@ works on those rationals or on their integer ranks.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -86,27 +87,89 @@ def _field(rec: Mapping[str, object], name: str, path: str) -> object:
 # JSON holds no int subclass but bool, so `type(x) is int` is _integer's test
 _INT = {int}
 
+# a plain rational string: the digits of p and of q, each read by int()
+_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
+def _rationals(col: Sequence[object], inf: bool = False) -> Optional[list]:
+    """A column of plain values as rationals: an int, a "p/q" string with
+    q > 0, and with ``inf`` also "inf".  None if any value is not plain."""
+    kinds = set(map(type, col))
+    if kinds == _INT:
+        return list(map(Fraction, col))
+    if not kinds <= {int, str}:
+        return None
+    # strings repeat (halves, tolerances): one rational per distinct value
+    exact = {}
+    try:
+        for x in set(col):
+            if type(x) is int:
+                exact[x] = Fraction(x)
+            elif inf and x == "inf":
+                exact[x] = INFINITE_TOLERANCE
+            elif m := _RATIO.fullmatch(x):
+                exact[x] = Fraction(int(m[1]), int(m[2]))
+            else:
+                return None
+    except (ValueError, ZeroDivisionError):  # past int's digit limit, or q = 0
+        return None
+    return list(map(exact.__getitem__, col))
+
+
+def _ints(col: Sequence[object]) -> Optional[Sequence[int]]:
+    """A column of ints as it is; None if any value is not an int."""
+    return col if set(map(type, col)) == _INT else None
+
+
+def _sides(col: Sequence[object]) -> Optional[list]:
+    """A column of boxes, each the same k >= 1 sides [low, high] of plain
+    values, as tuples of rational pairs; None for any other column."""
+    if set(map(type, col)) != {list} or len(ks := set(map(len, col))) != 1:
+        return None
+    sides = list(chain.from_iterable(col))
+    # no sides at all (k = 0) fails here too
+    if set(map(type, sides)) != {list} or set(map(len, sides)) != {2}:
+        return None
+    ends = _rationals(list(chain.from_iterable(sides)))
+    if ends is None:
+        return None
+    pairs = zip(*[iter(ends)] * 2)
+    return list(zip(*[pairs] * ks.pop()))
+
+
+def _plain_rows(items: Sequence[object], names: tuple[str, ...],
+                plain: tuple) -> Optional[list[tuple]]:
+    """The rows of items that are dicts with ids 1..n in order, field k of
+    each read a column at a time by ``plain[k]``; None for any other list."""
+    try:
+        ids, *cols = zip(*map(itemgetter("id", *names), items))
+    except (KeyError, TypeError, ValueError):  # a missing field, a non-dict, no items
+        return None
+    if set(map(type, ids)) != _INT or ids != tuple(range(1, len(ids) + 1)):
+        return None
+    vals = []
+    for read, col in zip(plain, cols):
+        vals.append(read(col))
+        if vals[-1] is None:
+            return None
+    return list(zip(*vals))
+
 
 def _by_id(items: Sequence[object], names: tuple[str, ...], row=None,
-           exact=Fraction) -> list[tuple]:
+           plain: Optional[tuple] = None) -> list[tuple]:
     """One row per item, ordered by id 1..n.
 
-    An item that is a dict with an int id not yet seen and int fields
-    ``names`` becomes ``exact`` of each field.  Any other is read by
-    ``row(record, path)``, by default the fields as rationals, which
-    names its fault.
+    A list of plain records, read by ``_plain_rows`` with ``plain`` (by
+    default every field by ``_rationals``), is read in one pass.  Any
+    other is read item by item by ``row(record, path)``, by default the
+    fields as rationals, which names its fault.
     """
-    take = itemgetter("id", *names)
+    light = _plain_rows(items, names, plain or (_rationals,) * len(names))
+    if light is not None:
+        return light
     row = row or _numbers(*names)
     rows: dict[int, tuple] = {}
     for k, raw in enumerate(items):
-        try:
-            got = take(raw)  # KeyError for a missing field, TypeError for a non-dict
-        except (KeyError, TypeError):
-            got = ()
-        if names and set(map(type, got)) == _INT and got[0] not in rows:
-            rows[got[0]] = tuple(map(exact, got[1:]))
-            continue
         here = f"$.items[{k}]"
         rec = _record(raw, here)
         ident = _integer(_field(rec, "id", here), f"{here}.id")
@@ -161,11 +224,11 @@ def _weights(doc: Mapping[str, object], n: int) -> Optional[tuple[Fraction, ...]
     raise SchemaError("weights must be a list or an id-keyed object", path)
 
 
-def _integers(row: tuple[Fraction, ...]) -> tuple[int, ...]:
+def _integers(row: tuple) -> tuple[int, ...]:
     for x in row:
         if x.denominator != 1:
             raise SchemaError(f"expected an integer, got {x}", "$.items")
-    return tuple(int(x) for x in row)
+    return tuple(map(int, row))
 
 
 def parse_model_file(text: str) -> ModelFile:
@@ -246,7 +309,8 @@ def _tolerance_row(rec, here):
 
 
 def _parse_tolerance(doc, items):
-    rows = _by_id(items, ("a", "b", "tol"), _tolerance_row)
+    rows = _by_id(items, ("a", "b", "tol"), _tolerance_row,
+                  (_rationals, _rationals, lambda col: _rationals(col, inf=True)))
     return _wrap(ToleranceRep.build,
                  [(a, b) for a, b, _ in rows], [t for _, _, t in rows])
 
@@ -261,11 +325,11 @@ def _box_row(rec, here):
         if not isinstance(side, list) or len(side) != 2:
             raise SchemaError("each side must be a [low, high] pair", spath)
         box.append((_number(side[0], spath), _number(side[1], spath)))
-    return tuple(box)
+    return (tuple(box),)
 
 
 def _parse_boxes(doc, items):
-    rows = _by_id(items, (), _box_row)
+    rows = [box for box, in _by_id(items, ("intervals",), _box_row, (_sides,))]
     return _wrap(KBoxModel.build, len(rows[0]) if rows else 1, rows)
 
 
@@ -309,12 +373,12 @@ _FORMATS = {
             [_layout(['"pi": ' + _layout(list(map(str, p.pi)), 3)], 2, "{}")], 1)]),
     "trapezoid": (
         lambda doc, items: _wrap(TrapezoidModel.build, [
-            _integers(row) for row in _by_id(items, ("a", "b", "c", "d"), exact=int)]),
+            _integers(row) for row in _by_id(items, ("a", "b", "c", "d"), plain=(_ints,) * 4)]),
         lambda m: _items(("a", "b", "c", "d"), m.items)),
     "dotted": (
         lambda doc, items: tuple(
             _wrap(DottedInterval.build, *_integers(row))
-            for row in _by_id(items, ("s", "t", "d"), exact=int)),
+            for row in _by_id(items, ("s", "t", "d"), plain=(_ints,) * 3)),
         lambda m: _items(("s", "t", "d"), [(it.s, it.t, it.d) for it in m])),
     "tolerance": (
         _parse_tolerance,
@@ -323,7 +387,7 @@ _FORMATS = {
             for (a, b), t in zip(m.intervals, m.tolerances)])),
     "chords": (
         lambda doc, items: _wrap(ChordModel.build, [
-            _integers(row) for row in _by_id(items, ("x", "y"), exact=int)]),
+            _integers(row) for row in _by_id(items, ("x", "y"), plain=(_ints,) * 2)]),
         lambda m: _items(("x", "y"), m.chords)),
     "disks": (
         lambda doc, items: _wrap(DiskPoints.build, _by_id(items, ("x", "y")),

@@ -12,7 +12,8 @@ State update for a 64-bit state z (all arithmetic mod 2**64):
 
 Bounded draws use rejection-free multiply-shift: (output * n) >> 64.
 Output k of a stream at state z is the mix of z + k * 0x9E3779B97F4A7C15
-alone, so ``outputs`` can compute a block of them at once.
+alone, so ``outputs`` can compute a block of them at once, and
+``below_each`` takes a block of bounded draws from one such block.
 """
 
 from __future__ import annotations
@@ -60,6 +61,19 @@ class SplitMix64:
             raise ValueError("below() needs a positive bound")
         return (self.next_u64() * n) >> 64
 
+    def below_each(self, bounds) -> list[int]:
+        """The next ``len(bounds)`` draws, draw k in [0, bounds[k]): what as
+        many ``below`` calls give, leaving the same state.  Each bound is in
+        1..2**32 - 1, so the product with an output, formed from its two
+        32-bit halves, never passes 2**64 in uint64 arithmetic."""
+        b = np.asarray(bounds)
+        if len(b) and not (b.min() > 0 and b.max() < 1 << 32):
+            raise ValueError("below_each() needs bounds in 1..2**32 - 1")
+        b = b.astype(np.uint64)
+        x = outputs(self.skip(len(b)), np.arange(1, len(b) + 1))
+        lo = (x & np.uint64(0xFFFFFFFF)) * b >> np.uint64(32)
+        return (((x >> np.uint64(32)) * b + lo) >> np.uint64(32)).tolist()
+
     def randint(self, lo: int, hi: int) -> int:
         """Integer in [lo, hi] inclusive."""
         return lo + self.below(hi - lo + 1)
@@ -70,6 +84,6 @@ class SplitMix64:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates using this stream."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        top = len(items) - 1
+        for i, j in zip(range(top, 0, -1), self.below_each(np.arange(top + 1, 1, -1))):
             items[i], items[j] = items[j], items[i]

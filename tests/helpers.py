@@ -7,7 +7,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +30,14 @@ from isect.errors import (
     SharedEndpoint,
     UndefinedForDisconnected,
 )
-from isect.geom import INFINITE_TOLERANCE, DiskPoints, KBoxModel, ToleranceRep
+from isect.geom import (
+    INFINITE_TOLERANCE,
+    ChordModel,
+    DiskPoints,
+    DottedInterval,
+    KBoxModel,
+    ToleranceRep,
+)
 from isect.graph import (
     Graph,
     Metrics,
@@ -61,6 +68,7 @@ from isect.oracles import (
 )
 from isect.permutations import ORIGIN, MISTree, Permutation, Point, PointRelation, PointRep
 from isect.rng import SplitMix64
+from isect.trapezoids import TrapezoidModel
 
 
 def path_graph(n: int) -> Graph:
@@ -1391,3 +1399,143 @@ def emit_model_file_reference(mf: ModelFile) -> str:
         edges = edge_text_reference(mf.model, EDGE_JSON_REFERENCE, ",\n")
         text = text.replace('"edges": []', f'"edges": [\n{edges}\n      ]', 1)
     return text
+
+
+# Seeded generation as it was before draws came in blocks: one below() call
+# per draw, Fisher-Yates by a loop of them, and each generator drawing its
+# values one at a time.  test_generators.py compares the live stream and
+# generators with these.
+
+def shuffle_reference(rng: SplitMix64, items: list) -> None:
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def _endpoint_pool_reference(rng: SplitMix64, n: int, spread: int = 3) -> list[int]:
+    pool = list(range(1, spread * 2 * n + 1))
+    shuffle_reference(rng, pool)
+    return pool[:2 * n]
+
+
+def _gen_interval_reference(rng, n, params):
+    strict = bool(params.get("strict", False))
+    connected = bool(params.get("connected", False))
+    while True:
+        pts = _endpoint_pool_reference(rng, n)
+        rows = [tuple(sorted((pts[2 * i], pts[2 * i + 1]))) for i in range(n)]
+        if strict:
+            rows.sort(key=lambda ab: ab[1])
+        m = IntervalModel.build(rows, strict=strict)
+        if not connected or m.connected:
+            return m
+
+
+def _gen_permutation_reference(rng, n, params):
+    seq = list(range(1, n + 1))
+    shuffle_reference(rng, seq)
+    return Permutation.build(seq)
+
+
+def _gen_trapezoid_reference(rng, n, params):
+    top = list(range(1, 2 * n + 1))
+    bot = list(range(1, 2 * n + 1))
+    shuffle_reference(rng, top)
+    shuffle_reference(rng, bot)
+    rows = [tuple(sorted((top[2 * i], top[2 * i + 1])))
+            + tuple(sorted((bot[2 * i], bot[2 * i + 1])))
+            for i in range(n)]
+    rows.sort(key=lambda r: r[1])
+    return TrapezoidModel.build(rows)
+
+
+def _gen_dotted_reference(rng, n, params):
+    out = []
+    for _ in range(n):
+        s = rng.randint(1, 6 * n)
+        d = rng.randint(1, 6)
+        out.append(DottedInterval.build(s, s + d * rng.randint(0, n), d))
+    return tuple(out)
+
+
+def _gen_tolerance_reference(rng, n, params):
+    pts = _endpoint_pool_reference(rng, n)
+    rows = [tuple(sorted((pts[2 * i], pts[2 * i + 1]))) for i in range(n)]
+    tols = [INFINITE_TOLERANCE if rng.coin() and rng.coin()
+            else Fraction(rng.randint(1, 8), rng.randint(1, 2))
+            for _ in range(n)]
+    return ToleranceRep.build(rows, tols)
+
+
+def _gen_disks_reference(rng, n, params):
+    side = max(2, n)
+    pts = [(Fraction(rng.randint(0, 2 * side), 2),
+            Fraction(rng.randint(0, 2 * side), 2)) for _ in range(n)]
+    return DiskPoints.build(pts, params.get("r", 1))
+
+
+def _gen_boxes_reference(rng, n, params):
+    k = params.get("k", 2)
+    axes = [_endpoint_pool_reference(rng, n) for _ in range(k)]
+    boxes = [tuple(tuple(sorted((axes[c][2 * i], axes[c][2 * i + 1])))
+                   for c in range(k))
+             for i in range(n)]
+    return KBoxModel.build(k, boxes)
+
+
+GENERATORS_REFERENCE = {
+    "interval": _gen_interval_reference,
+    "arcs": lambda rng, n, params: ArcModel.build(
+        list(zip(*[iter(_endpoint_pool_reference(rng, n))] * 2))),
+    "permutation": _gen_permutation_reference,
+    "trapezoid": _gen_trapezoid_reference,
+    "dotted": _gen_dotted_reference,
+    "tolerance": _gen_tolerance_reference,
+    "chords": lambda rng, n, params: ChordModel.build(
+        list(zip(*[iter(_endpoint_pool_reference(rng, n, spread=2))] * 2))),
+    "disks": _gen_disks_reference,
+    "boxes": _gen_boxes_reference,
+    # one coin per pair i < j in row-major order
+    "graph": lambda rng, n, params: random_graph(rng, n),
+}
+
+
+def generate_model_reference(spec) -> ModelFile:
+    """generate_model for a valid spec, drawing one value per call."""
+    rng = SplitMix64(spec.seed)
+    model = GENERATORS_REFERENCE[spec.kind](rng, spec.n, spec.params)
+    weights = None
+    if spec.params.get("weights"):
+        count = getattr(model, "n", spec.n)
+        weights = tuple(Fraction(rng.randint(1, 50)) for _ in range(count))
+    return ModelFile(spec.kind, model, weights)
+
+
+# The plain-record reader as it was before it read whole columns: an item
+# that was a dict with an unseen int id and int fields took ``exact`` of
+# each, in any id order, and any other went through ``row``.
+# test_modelfile.py parses through it and through the live code and
+# compares the results.
+
+def by_id_int_reference(items, names, row=None, exact=Fraction) -> list[tuple]:
+    take = itemgetter("id", *names)
+    row = row or numbers_reference(*names)
+    rows: dict[int, tuple] = {}
+    for k, raw in enumerate(items):
+        try:
+            got = take(raw)
+        except (KeyError, TypeError):
+            got = ()
+        if names and set(map(type, got)) == {int} and got[0] not in rows:
+            rows[got[0]] = tuple(map(exact, got[1:]))
+            continue
+        here = f"$.items[{k}]"
+        rec = _record(raw, here)
+        ident = _integer(_field(rec, "id", here), f"{here}.id")
+        if ident in rows:
+            raise SchemaError(f"duplicate id {ident}", here)
+        rows[ident] = row(rec, here)
+    n = len(items)
+    if sorted(rows) != list(range(1, n + 1)):
+        raise SchemaError(f"ids must cover 1..{n} exactly", "$.items")
+    return [rows[i] for i in range(1, n + 1)]

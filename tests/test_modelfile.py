@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     arc_model_build_reference,
+    by_id_int_reference,
     by_id_reference,
     emit_model_file_reference,
     interval_model_build_reference,
@@ -232,7 +233,7 @@ def _outcome(text):
 def _reference_outcome(text):
     """_outcome with the parent's reader and constructors in place."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modelfile, "_by_id", lambda items, names, row=None, exact=None:
+        mp.setattr(modelfile, "_by_id", lambda items, names, row=None, plain=None:
                    by_id_reference(items, row or numbers_reference(*names)))
         mp.setattr(modelfile, "_numbers", numbers_reference)
         mp.setattr(modelfile, "_weights", weights_reference)
@@ -336,6 +337,92 @@ def test_reader_light_and_field_paths_agree():
     for text, fault in ((dotted, ValidationError), (trapezoid, SchemaError)):
         assert _outcome(text)[0] is fault
         assert _outcome(text) == _reference_outcome(text)
+
+
+# -- the column reader against the parent's per-item light path --------------
+
+def _parent_by_id_outcome(text):
+    """_outcome with the parent's _by_id, which read int fields item by item."""
+    def parent(items, names, row=None, plain=None):
+        exact = int if plain and plain[0] is modelfile._ints else Fraction
+        return by_id_int_reference(items, names, row, exact)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modelfile, "_by_id", parent)
+        return _outcome(text)
+
+
+RECORD_KINDS = [k for k in KINDS if k not in ("permutation", "graph")]
+# values put in one field of one item: rational spellings, then wrong types
+SPELLINGS = ["-3/4", "6/2", "1/0", "1e3", "+1/2", " 1/2", "1.5", "7/7", "-0/5", "inf",
+             True, 1.5, 2 ** 63, -2 ** 70, None, [1, 2]]
+
+
+def _mutants(kind):
+    """A generated document of ``kind`` and faults of it, as JSON text."""
+    base = json.loads(emit_model_file(generate_model(GeneratorSpec(kind, 5, 3, {}))))
+    yield base
+    fields = [f for f in base["items"][0] if f != "id"]
+    for k in (0, 4):
+        for f in fields:
+            for value in SPELLINGS:
+                doc = json.loads(json.dumps(base))
+                if f == "intervals":
+                    doc["items"][k][f][0][1] = value
+                else:
+                    doc["items"][k][f] = value
+                yield doc
+            doc = json.loads(json.dumps(base))
+            del doc["items"][k][f]
+            yield doc
+        for item in (5, "x", None, [1, 2]):
+            doc = json.loads(json.dumps(base))
+            doc["items"][k] = item
+            yield doc
+    items = base["items"]
+    for order in (items[::-1], items[1:] + items[:1]):
+        yield {**base, "items": order}
+    for ident in (1, 6, 0, "2", True):
+        yield {**base, "items": [items[0], {**items[1], "id": ident}, *items[2:]]}
+    yield {**base, "items": items[:2] + items[3:]}
+    yield {**base, "items": [{k: v for k, v in items[0].items() if k != "id"}, *items[1:]]}
+    if kind == "boxes":
+        sides = items[2]["intervals"]
+        for bad in (sides[:1], sides + sides[:1], [], [sides[0][:1], sides[1]],
+                    [sides[0] + [9], sides[1]], [5, sides[1]], "x"):
+            yield {**base, "items": [*items[:2], {**items[2], "intervals": bad}, *items[3:]]}
+        yield {**base, "items": [{**it, "intervals": it["intervals"][:1]} for it in items]}
+    if kind == "tolerance":
+        for f in ("a", "b", "tol"):
+            yield {**base, "items": [{**it, f: "inf"} for it in items]}
+
+
+@pytest.mark.parametrize("kind", RECORD_KINDS)
+def test_column_reader_matches_the_parents_on_faults(kind):
+    for doc in _mutants(kind):
+        text = json.dumps(doc)
+        assert _outcome(text) == _parent_by_id_outcome(text), text
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_column_reader_matches_the_parents_on_generated_models(kind):
+    for n in (1, 2, 17, 60):
+        for seed in (1, 2):
+            for params in ({}, {"weights": True}):
+                text = emit_model_file(generate_model(GeneratorSpec(kind, n, seed, params)))
+                got = _outcome(text)
+                assert isinstance(got[0], ModelFile)
+                assert got == _parent_by_id_outcome(text)
+
+
+def test_column_reader_takes_plain_values_only():
+    read = modelfile._rationals
+    assert read([1, "-3/4", "6/2", "-0/5"]) == [1, Fraction(-3, 4), 3, 0]
+    assert read(["inf", "1/2"], inf=True) == [INFINITE_TOLERANCE, Fraction(1, 2)]
+    for bad in ("inf", "1/0", "1e3", "+1/2", " 1/2", "1.5", "1/2 ", "٣/4", True, 1.5):
+        assert read([1, bad]) is None, bad
+    assert read(["9" * 5000 + "/1"]) is None
+    assert modelfile._ints([1, 2]) == [1, 2] and modelfile._ints([1, "2"]) is None
 
 
 # -- the writer against the parent's, on drawn and generated models -----------
