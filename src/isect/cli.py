@@ -155,179 +155,159 @@ def _cmd_oracle(args) -> int:
 
 # -- check -------------------------------------------------------------------
 
-class _SuiteFailure(Exception):
-    pass
+# Each check draws one instance from its suite's stream and returns the fault
+# it finds, or None.  Entry points are read as module globals at call time,
+# never captured, so a tracer can rebind them.
+
+def _check_umbrella(rng: SplitMix64) -> Optional[str]:
+    s, n = rng.next_u64() >> 1, 2 + rng.below(30)
+    strict, _ = normalize(generate_model(GeneratorSpec("interval", n, s)).model)
+    g = build_interval_graph(strict)
+    for w in g.vertices():
+        # the neighbours below w must run solid from the lowest one, u, up to w - 1
+        below = g.adj_bits[w] & (1 << (w - 1)) - 1
+        low = below & -below
+        missing = ((1 << (w - 1)) - low) & ~below if below else 0
+        if missing:
+            u, v = low.bit_length(), (missing & -missing).bit_length()
+            return f"edge ({u},{w}) but ({v},{w}) missing"
+    return None
 
 
-def _seeds(seed: int, count: int):
-    rng = SplitMix64(seed)
-    for _ in range(count):
-        yield rng.next_u64() >> 1, rng
+def _check_spanner(rng: SplitMix64) -> Optional[str]:
+    s, n = rng.next_u64() >> 1, 2 + rng.below(60)
+    m = generate_model(GeneratorSpec("interval", n, s,
+                                     {"strict": True, "connected": True})).model
+    if not is_tree_t_spanner(build_interval_graph(m), tree_3_spanner(m).tree, 3):
+        return f"stretch above 3 at n={n}"
+    return None
 
 
-def _require_kind(kind: Optional[str], allowed: tuple[str, ...], suite: str) -> str:
-    got = kind or allowed[0]
-    if got not in allowed:
-        raise BadParams(f"suite {suite!r} supports kinds {allowed}, got {got!r}")
-    return got
+def _check_coloring(rng: SplitMix64) -> Optional[str]:
+    s, n = rng.next_u64() >> 1, 1 + rng.below(8)
+    m = generate_model(GeneratorSpec("interval", n, s, {"strict": True})).model
+    used = len(set(greedy_color(m).values()))
+    omega = max(len(c) for c in maximal_cliques_interval(m))
+    if used != omega:
+        return f"{used} colors but omega={omega}"
+    chi = brute_solve(build_interval_graph(m), "chromatic_number").value
+    if used != chi:
+        return f"{used} colors but chi={chi}"
+    return None
 
 
-def _connected_model(kind: str, n: int, rng: SplitMix64):
-    # redraw seeds until the model is connected
-    while True:
-        mf = generate_model(GeneratorSpec(kind, n, rng.next_u64() >> 1))
-        if mf.model.connected:
-            return mf
+def _check_mwis(kind: str, rng: SplitMix64) -> Optional[str]:
+    s, n = rng.next_u64() >> 1, 2 + rng.below(10)
+    mf = generate_model(GeneratorSpec(kind, n, s, {"weights": True}))
+    value = _structured(mf, "mwis")[0]
+    best = brute_solve(_graph_of(mf), "mwis").value
+    if value != best:
+        return f"structured {value}, brute {best}"
+    return None
 
 
-def _check_umbrella(kind, count, seed) -> int:
-    _require_kind(kind, ("interval",), "umbrella")
-    for i, (s, rng) in enumerate(_seeds(seed, count)):
-        n = 2 + rng.below(30)
-        strict, _ = normalize(generate_model(GeneratorSpec("interval", n, s)).model)
-        g = build_interval_graph(strict)
-        for w in g.vertices():
-            # the neighbours below w must run solid from the lowest one, u, up to w - 1
-            below = g.adj_bits[w] & (1 << (w - 1)) - 1
-            low = below & -below
-            missing = ((1 << (w - 1)) - low) & ~below if below else 0
-            if missing:
-                u, v = low.bit_length(), (missing & -missing).bit_length()
-                raise _SuiteFailure(f"instance {i}: edge ({u},{w}) but ({v},{w}) missing")
-    return count
+# the apsp suites read and drop the seed draw the other suites use
+def _check_apsp_interval(rng: SplitMix64) -> Optional[str]:
+    rng.next_u64()
+    n = 2 + rng.below(40)
+    m = generate_model(GeneratorSpec("interval", n, rng.next_u64() >> 1,
+                                     {"strict": True, "connected": True})).model
+    if apsp_interval(m) != bfs_apsp(build_interval_graph(m)):
+        return f"distance matrix mismatch at n={n}"
+    return None
 
 
-def _check_spanner(kind, count, seed) -> int:
-    _require_kind(kind, ("interval",), "spanner")
-    params = {"strict": True, "connected": True}
-    for i, (s, rng) in enumerate(_seeds(seed, count)):
-        n = 2 + rng.below(60)
-        m = generate_model(GeneratorSpec("interval", n, s, params)).model
-        g = build_interval_graph(m)
-        if not is_tree_t_spanner(g, tree_3_spanner(m).tree, 3):
-            raise _SuiteFailure(f"instance {i}: stretch above 3 at n={n}")
-    return count
+def _check_apsp_arcs(rng: SplitMix64) -> Optional[str]:
+    rng.next_u64()
+    n = 2 + rng.below(30)
+    while True:  # redraw seeds until the model is connected
+        m = generate_model(GeneratorSpec("arcs", n, rng.next_u64() >> 1)).model
+        if m.connected:
+            break
+    if apsp_circular_arc(m) != bfs_apsp(build_circular_arc_graph(m)):
+        return f"distance matrix mismatch at n={n}"
+    return None
 
 
-def _check_coloring(kind, count, seed) -> int:
-    _require_kind(kind, ("interval",), "coloring")
-    for i, (s, rng) in enumerate(_seeds(seed, count)):
-        n = 1 + rng.below(8)
-        m = generate_model(GeneratorSpec("interval", n, s, {"strict": True})).model
-        used = len(set(greedy_color(m).values()))
-        omega = max(len(c) for c in maximal_cliques_interval(m))
-        if used != omega:
-            raise _SuiteFailure(f"instance {i}: {used} colors but omega={omega}")
-        chi = brute_solve(build_interval_graph(m), "chromatic_number").value
-        if used != chi:
-            raise _SuiteFailure(f"instance {i}: {used} colors but chi={chi}")
-    return count
+def _check_fourway(rng: SplitMix64) -> Optional[str]:
+    s, n = rng.next_u64() >> 1, 1 + rng.below(25)
+    m = generate_model(GeneratorSpec("trapezoid", n, s)).model
+    g = build_trapezoid_graph(m)
+    segs = to_segment_rep(m).segments
+    boxes = to_box_rep(m).boxes
+    q, pairing = to_permutation_diagram(m)
+    if not check_cocomparability_order(g, range(1, n + 1)):
+        return "index order jumps a gap"
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            votes = {
+                trapezoids_adjacent(m.items[a - 1], m.items[b - 1]),
+                g.has_edge(a, b),
+                segments_joint(segs[a - 1], segs[b - 1]),
+                boxes_incomparable(boxes[a - 1], boxes[b - 1]),
+                diagram_adjacent(q, pairing, a, b),
+            }
+            if len(votes) != 1:
+                return f"representations split on ({a},{b})"
+    return None
 
 
-def _check_mwis(kind, count, seed) -> int:
-    kinds = tuple(sorted(k for k, problem in _SOLVERS if problem == "mwis"))
-    got = _require_kind(kind, kinds, "mwis")
-    for i, (s, rng) in enumerate(_seeds(seed, count)):
-        n = 2 + rng.below(10)
-        mf = generate_model(GeneratorSpec(got, n, s, {"weights": True}))
-        value = _structured(mf, "mwis")[0]
-        best = brute_solve(_graph_of(mf), "mwis").value
-        if value != best:
-            raise _SuiteFailure(f"instance {i}: structured {value}, brute {best}")
-    return count
+def _check_chordal_graph(rng: SplitMix64) -> Optional[str]:
+    s, n = rng.next_u64() >> 1, 1 + rng.below(8)
+    g = generate_model(GeneratorSpec("graph", n, s)).model
+    if is_chordal(g) != (find_hole(g) is None):
+        return "recognizer and holes disagree"
+    return None
 
 
-def _check_apsp(kind, count, seed) -> int:
-    got = _require_kind(kind, ("interval", "arcs"), "apsp")
-    for i, (s, rng) in enumerate(_seeds(seed, count)):
-        if got == "interval":
-            n = 2 + rng.below(40)
-            mf = generate_model(GeneratorSpec("interval", n, rng.next_u64() >> 1,
-                                              {"strict": True, "connected": True}))
-            dist = apsp_interval(mf.model)
-        else:
-            n = 2 + rng.below(30)
-            mf = _connected_model("arcs", n, rng)
-            dist = apsp_circular_arc(mf.model)
-        if dist != bfs_apsp(_BUILDERS[got](mf.model)):
-            raise _SuiteFailure(f"instance {i}: distance matrix mismatch at n={n}")
-    return count
+def _check_chordal_interval(rng: SplitMix64) -> Optional[str]:
+    s, n = rng.next_u64() >> 1, 1 + rng.below(20)
+    m = generate_model(GeneratorSpec("interval", n, s)).model
+    if not is_chordal(build_interval_graph(m)):
+        return "interval graph not chordal"
+    return None
 
 
-def _check_fourway(kind, count, seed) -> int:
-    _require_kind(kind, ("trapezoid",), "fourway")
-    for i, (s, rng) in enumerate(_seeds(seed, count)):
-        n = 1 + rng.below(25)
-        m = generate_model(GeneratorSpec("trapezoid", n, s)).model
-        g = build_trapezoid_graph(m)
-        segs = to_segment_rep(m).segments
-        boxes = to_box_rep(m).boxes
-        q, pairing = to_permutation_diagram(m)
-        if not check_cocomparability_order(g, range(1, n + 1)):
-            raise _SuiteFailure(f"instance {i}: index order jumps a gap")
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                votes = {
-                    trapezoids_adjacent(m.items[a - 1], m.items[b - 1]),
-                    g.has_edge(a, b),
-                    segments_joint(segs[a - 1], segs[b - 1]),
-                    boxes_incomparable(boxes[a - 1], boxes[b - 1]),
-                    diagram_adjacent(q, pairing, a, b),
-                }
-                if len(votes) != 1:
-                    raise _SuiteFailure(
-                        f"instance {i}: representations split on ({a},{b})")
-    return count
+def _check_crt(rng: SplitMix64) -> Optional[str]:
+    pair = []
+    for _ in range(2):
+        s = rng.randint(1, 400)
+        d = rng.randint(1, 12)
+        pair.append(DottedInterval.build(s, s + d * rng.randint(0, 40), d))
+    x, y = pair
+    if dotted_intersect(x, y) != bool(set(x.points()) & set(y.points())):
+        return f"{x} vs {y}"
+    return None
 
 
-def _check_chordal(kind, count, seed) -> int:
-    got = _require_kind(kind, ("graph", "interval"), "chordal")
-    for i, (s, rng) in enumerate(_seeds(seed, count)):
-        if got == "graph":
-            g = generate_model(GeneratorSpec("graph", 1 + rng.below(8), s)).model
-            if is_chordal(g) != (find_hole(g) is None):
-                raise _SuiteFailure(f"instance {i}: recognizer and holes disagree")
-        else:
-            m = generate_model(GeneratorSpec("interval", 1 + rng.below(20), s)).model
-            if not is_chordal(build_interval_graph(m)):
-                raise _SuiteFailure(f"instance {i}: interval graph not chordal")
-    return count
-
-
-def _check_crt(kind, count, seed) -> int:
-    _require_kind(kind, ("dotted",), "crt")
-    rng = SplitMix64(seed)
-    for i in range(count):
-        pair = []
-        for _ in range(2):
-            s = rng.randint(1, 400)
-            d = rng.randint(1, 12)
-            pair.append(DottedInterval.build(s, s + d * rng.randint(0, 40), d))
-        x, y = pair
-        if dotted_intersect(x, y) != bool(set(x.points()) & set(y.points())):
-            raise _SuiteFailure(f"pair {i}: {x} vs {y}")
-    return count
-
-
+# checks by (suite, kind); a suite's first kind is its default
 _SUITES = {
-    "umbrella": _check_umbrella,
-    "spanner": _check_spanner,
-    "coloring": _check_coloring,
-    "mwis": _check_mwis,
-    "apsp": _check_apsp,
-    "fourway": _check_fourway,
-    "chordal": _check_chordal,
-    "crt": _check_crt,
+    ("umbrella", "interval"): _check_umbrella,
+    ("spanner", "interval"): _check_spanner,
+    ("coloring", "interval"): _check_coloring,
+    **{("mwis", kind): functools.partial(_check_mwis, kind)
+       for kind, problem in sorted(_SOLVERS) if problem == "mwis"},
+    ("apsp", "interval"): _check_apsp_interval,
+    ("apsp", "arcs"): _check_apsp_arcs,
+    ("fourway", "trapezoid"): _check_fourway,
+    ("chordal", "graph"): _check_chordal_graph,
+    ("chordal", "interval"): _check_chordal_interval,
+    ("crt", "dotted"): _check_crt,
 }
 
 
 def _cmd_check(args) -> int:
-    try:
-        checked = _SUITES[args.suite](args.kind, args.count, args.seed)
-    except _SuiteFailure as exc:
-        print(f"FAIL {args.suite}: {exc}", file=sys.stderr)
-        return 1
-    print(f"ok {args.suite}: checked {checked} instances")
+    kinds = tuple(k for suite, k in _SUITES if suite == args.suite)
+    kind = args.kind or kinds[0]
+    if kind not in kinds:
+        raise BadParams(f"suite {args.suite!r} supports kinds {kinds}, got {kind!r}")
+    check, rng = _SUITES[args.suite, kind], SplitMix64(args.seed)
+    for i in range(args.count):
+        fault = check(rng)
+        if fault is not None:
+            print(f"FAIL {args.suite}: instance {i}: {fault}", file=sys.stderr)
+            return 1
+    print(f"ok {args.suite}: checked {args.count} instances")
     return 0
 
 
@@ -369,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run a structured solver on a model")
     p.add_argument("--model", required=True)
     p.add_argument("--problem", required=True,
-                   choices=("mis", "mwis", "max_clique", "coloring"))
+                   choices=("mis", *dict.fromkeys(problem for _, problem in _SOLVERS)))
 
     p = sub.add_parser("oracle", help="run the brute-force solver on a model")
     p.add_argument("--model", required=True)
@@ -378,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="parameter for k-indexed problems")
 
     p = sub.add_parser("check", help="run an invariant suite on random models")
-    p.add_argument("suite", choices=sorted(_SUITES))
+    p.add_argument("suite", choices=sorted({suite for suite, _ in _SUITES}))
     p.add_argument("--kind", default=None, help="model kind, suite default if absent")
     p.add_argument("--count", type=count, default=100, help="instances to draw")
     p.add_argument("--seed", type=int, default=1)

@@ -3,9 +3,11 @@
 import argparse
 import ast
 import hashlib
+import importlib.util
 import io
 import json
 import re
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -19,9 +21,11 @@ from isect import cli
 from isect.cli import execute
 from isect.errors import BadParams, IsectError
 from isect.generators import MAX_N, GeneratorSpec, generate_model
+from isect.geom import DottedInterval, dotted_intersect
 from isect.graph import Graph
 from isect.intervals import build_interval_graph
 from isect.modelfile import KINDS, emit_model_file, parse_model_file
+from isect.trapezoids import segments_joint
 
 DOTTED_FILE = """
 {"kind": "dotted", "items": [
@@ -143,6 +147,18 @@ def test_oracle_prints_the_clique_cover_as_part_numbers(tmp_path, capsys):
     assert rc == 0 and err == ""
     # parts (1, 2, 4, 6) and (3, 5, 7, 8), read off per vertex like a colors line
     assert out.splitlines() == ["value 2", "cover 1 1 2 1 2 1 2 2"]
+
+
+# the oracle problems with arguments the command line has no option for
+@pytest.mark.parametrize("problem, error", [
+    ("steiner_set", "error: steiner_set needs targets\n"),
+    ("next_to_shortest", "error: next_to_shortest needs endpoints u and v\n"),
+])
+def test_oracle_refuses_the_library_only_problems(problem, error, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(emit_model_file(generate_model(GeneratorSpec("interval", 4, 1))))
+    rc, out, err = run(capsys, "oracle", "--model", str(path), "--problem", problem)
+    assert rc == 1 and out == "" and err == error
 
 
 def test_long_distinct_denominators_exceed_the_size_budget(tmp_path, capsys):
@@ -395,6 +411,94 @@ def test_check_passes_on_every_accepted_kind(suite, kind, capsys):
     assert out == f"ok {suite}: checked 10 instances\n"
 
 
+def test_check_table_lists_every_pair_in_order(monkeypatch):
+    # the order fixes each suite's default kind, its first
+    assert list(cli._SUITES) == CHECK_PAIRS
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name while they are made
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert list(workloads.SUITES) == CHECK_PAIRS
+
+
+# sha256 of every GeneratorSpec passed to generate_model and every
+# DottedInterval.build call made by `check SUITE --kind K --count 15` at seeds
+# 1, 2 and 9, one repr a line, as drawn by the per-suite functions that the
+# table of checks replaced
+CHECK_STREAM_SHA256 = {
+    ("umbrella", "interval"): "959d7d4ec80f6438716fa69d679cda721467c20273bd69c709a19af45cd7fbf1",
+    ("spanner", "interval"): "cf24bf5c04348f8de4379172b4ff0b117b7604abba74dcd6420e6da50b3a2bbb",
+    ("coloring", "interval"): "4f2d0b32ea45851011df37d447f65ebd2d5bfbce9b27460ba8ce1b65a349bbba",
+    ("mwis", "arcs"): "9aad58a28fb1dc840db4f86e3a81b21ec0a8ddfac48dcb4ea6464f43b869e823",
+    ("mwis", "interval"): "f4ee54bc6f5c482d4b88d40075a4667088b07f6f26c5051fd46b5d4fcaf178d3",
+    ("mwis", "permutation"): "aa02618d1c82bae32d31b122ebef3f15449c009d838d6c33c3fa614a6991dd0f",
+    ("apsp", "interval"): "5df75425e1e4925ce18853915f86a14918ea9b666d6d3e2c0691905f1f77fdbc",
+    ("apsp", "arcs"): "5b6c647ec4d49917a6c04cab35ea7c4723c723a954a89c2aff49d606bc8ddf6c",
+    ("fourway", "trapezoid"): "63345679535fb64dc2abc20a58fd0daba17b8d45bd1ba53025be215f8fd3d16b",
+    ("chordal", "graph"): "0a30ca60410b42171537bd8a454141f23830c581a15fe00705e3a48cdf9bc1f4",
+    ("chordal", "interval"): "f106c18746d8f52e7a80b947e8498a39ec1af1995d1c7c6b2ee9250c6ab25235",
+    ("crt", "dotted"): "fd1bc83dbd18d8d0d199da4135553bb90b408dbdc9103aa87629f792b96a7c7b",
+}
+
+
+@pytest.mark.parametrize("suite, kind", CHECK_PAIRS)
+def test_check_draws_the_same_instances(suite, kind, capsys, monkeypatch):
+    drawn = []
+
+    def generate(spec):
+        drawn.append(repr(spec))
+        return generate_model(spec)
+
+    def build(*args):
+        drawn.append(repr(args))
+        return DottedInterval.build(*args)
+
+    monkeypatch.setattr(cli, "generate_model", generate)
+    monkeypatch.setattr(cli, "DottedInterval", SimpleNamespace(build=build))
+    for seed in ("1", "2", "9"):
+        rc, out, err = run(capsys, "check", suite, "--kind", kind, "--count", "15",
+                           "--seed", seed)
+        assert rc == 0 and err == ""
+    digest = hashlib.sha256("\n".join(drawn).encode()).hexdigest()
+    assert digest == CHECK_STREAM_SHA256[suite, kind]
+
+
+def _no_mwis(g, name):
+    return SimpleNamespace(value=-1)
+
+
+# one fake per fault a check reports: the cli global it replaces, and the
+# FAIL line of `check SUITE --kind K --count 5 --seed 1` with it in place
+CHECK_FAULTS = [
+    ("mwis", "arcs", "brute_solve", _no_mwis, "structured 114, brute -1"),
+    ("mwis", "interval", "brute_solve", _no_mwis, "structured 90, brute -1"),
+    ("mwis", "permutation", "brute_solve", _no_mwis, "structured 108, brute -1"),
+    ("apsp", "interval", "bfs_apsp", lambda g: None,
+     "distance matrix mismatch at n=31"),
+    ("apsp", "arcs", "bfs_apsp", lambda g: None, "distance matrix mismatch at n=24"),
+    ("coloring", "interval", "maximal_cliques_interval", lambda m: [()],
+     "4 colors but omega=0"),
+    ("coloring", "interval", "brute_solve", lambda g, name: SimpleNamespace(value=0),
+     "4 colors but chi=0"),
+    ("fourway", "trapezoid", "check_cocomparability_order", lambda g, order: False,
+     "index order jumps a gap"),
+    ("fourway", "trapezoid", "segments_joint", lambda s, t: not segments_joint(s, t),
+     "representations split on (1,2)"),
+    ("crt", "dotted", "dotted_intersect", lambda x, y: not dotted_intersect(x, y),
+     "DottedInterval(s=227, t=578, d=9) vs DottedInterval(s=178, t=364, d=6)"),
+]
+
+
+@pytest.mark.parametrize("suite, kind, name, fake, fault", CHECK_FAULTS)
+def test_check_reports_each_fault(suite, kind, name, fake, fault, capsys, monkeypatch):
+    monkeypatch.setattr(cli, name, fake)
+    rc, out, err = run(capsys, "check", suite, "--kind", kind, "--count", "5", "--seed", "1")
+    assert rc == 1 and out == ""
+    assert err == f"FAIL {suite}: instance 0: {fault}\n"
+
+
 def test_check_chordal_fails_when_the_recognizer_does(capsys, monkeypatch):
     monkeypatch.setattr(cli, "is_chordal", lambda g: False)
     rc, out, err = run(capsys, "check", "chordal", "--kind", "interval", "--count", "5")
@@ -422,7 +526,7 @@ def test_check_umbrella_fails_on_a_missing_edge(capsys, monkeypatch):
     assert err == "FAIL umbrella: instance 0: edge (2,5) but (4,5) missing\n"
 
 
-@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+@pytest.mark.parametrize("suite", sorted({suite for suite, _ in cli._SUITES}))
 def test_check_rejects_negative_count_as_usage_error(suite, capsys):
     rc, out, err = run(capsys, "check", suite, "--count", "-3")
     assert rc == 2 and out == "" and "--count" in err
